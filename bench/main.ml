@@ -72,61 +72,38 @@ let reproduce () =
   line ();
   print_string (Exp_chaos.render (Exp_chaos.run ()));
   print_newline ();
-  line ();
-  print_endline "Observability: Table 1 cost attribution and latency histograms";
-  line ();
-  let profile = Exp_profile.run () in
-  print_string (Exp_profile.render profile);
-  let record = Exp_profile.render_json profile in
-  let oc = open_out "BENCH_observability.json" in
-  output_string oc record;
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_observability.json)";
-  line ();
-  print_endline "Perf: simulator throughput at scale";
-  line ();
-  let perf = Exp_scale.run ~jobs () in
-  print_string (Exp_scale.render perf);
-  let oc = open_out "BENCH_perf.json" in
-  output_string oc (Exp_scale.render_json perf);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_perf.json)";
-  line ();
-  print_endline "Market: multi-tenant admission control at production scale";
-  line ();
-  let market = Exp_market.run ~jobs () in
-  print_string (Exp_market.render market);
-  let oc = open_out "BENCH_market.json" in
-  output_string oc (Exp_market.render_json market);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_market.json)";
-  line ();
-  print_endline "Tier: single-tier vs tiered frame placement";
-  line ();
-  let tier = Exp_tier.run ~jobs () in
-  print_string (Exp_tier.render tier);
-  let oc = open_out "BENCH_tier.json" in
-  output_string oc (Exp_tier.render_json tier);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_tier.json)";
-  line ();
-  print_endline "Cache: frame placement vs a physically-indexed L2";
-  line ();
-  let cache = Exp_cache.run ~jobs () in
-  print_string (Exp_cache.render cache);
-  let oc = open_out "BENCH_cache.json" in
-  output_string oc (Exp_cache.render_json cache);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_cache.json)";
-  line ();
-  print_endline "Shard: parallel DBMS shards with two-phase commit";
-  line ();
-  let shard = Exp_shard.run ~jobs () in
-  print_string (Exp_shard.render shard);
-  let oc = open_out "BENCH_shard.json" in
-  output_string oc (Exp_shard.render_json shard);
-  close_out oc;
-  print_endline "(machine-readable record written to BENCH_shard.json)"
+  (* The versioned records: banner, text rendering, then the record
+     file. *)
+  let both render emit r = (render r, emit r) in
+  List.iter
+    (fun (title, file, run) ->
+      line ();
+      print_endline title;
+      line ();
+      let text, record = run () in
+      print_string text;
+      Out_channel.with_open_text file (fun oc -> output_string oc (Exp_record.to_string record));
+      Printf.printf "(machine-readable record written to %s)\n" file)
+    [
+      ( "Observability: Table 1 cost attribution and latency histograms",
+        "BENCH_observability.json",
+        fun () -> both Exp_profile.render Exp_profile.emit (Exp_profile.run ()) );
+      ( "Perf: simulator throughput at scale",
+        "BENCH_perf.json",
+        fun () -> both Exp_scale.render Exp_scale.emit (Exp_scale.run ~jobs ()) );
+      ( "Market: multi-tenant admission control at production scale",
+        "BENCH_market.json",
+        fun () -> both Exp_market.render Exp_market.emit (Exp_market.run ~jobs ()) );
+      ( "Tier: single-tier vs tiered frame placement",
+        "BENCH_tier.json",
+        fun () -> both Exp_tier.render Exp_tier.emit (Exp_tier.run ~jobs ()) );
+      ( "Cache: frame placement vs a physically-indexed L2",
+        "BENCH_cache.json",
+        fun () -> both Exp_cache.render Exp_cache.emit (Exp_cache.run ~jobs ()) );
+      ( "Shard: parallel DBMS shards with two-phase commit",
+        "BENCH_shard.json",
+        fun () -> both Exp_shard.render Exp_shard.emit (Exp_shard.run ~jobs ()) );
+    ]
 
 (* One Test.make per table/figure. Table 4 runs in its quick (60 s
    simulated) configuration here so a Bechamel sample stays subsecond. *)

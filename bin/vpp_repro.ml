@@ -16,7 +16,7 @@ let run_chaos seed () = print_string (Exp_chaos.render (Exp_chaos.run ?seed ()))
 
 let run_profile json () =
   let r = Exp_profile.run () in
-  if json then print_string (Exp_profile.render_json r) else print_string (Exp_profile.render r)
+  print_string (if json then Exp_record.to_string (Exp_profile.emit r) else Exp_profile.render r)
 
 (* The ablations and the [all] group are independent deterministic
    experiments; with --jobs they fan out over domains via Exp_par, whose
@@ -46,21 +46,33 @@ let run_all quick jobs () =
          (fun () -> Exp_figures.render (Exp_figures.run ()));
        ])
 
-let run_perf quick json jobs out () =
-  let r = Exp_scale.run ~quick ?jobs () in
-  let record = Exp_scale.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
+(* Every record command is the same shell over its experiment module:
+   run, emit the record (its checks evaluated on the body), write it to
+   --out, print the record or the text rendering, and gate the exit status
+   on the checks. *)
+module type RECORD = sig
+  type result
+
+  val schema : Exp_record.schema
+  val run : ?quick:bool -> ?jobs:int -> unit -> result
+  val emit : result -> Exp_record.t
+  val render : result -> string
+end
+
+let run_record (module M : RECORD) quick json jobs out () =
+  let r = M.run ~quick ?jobs () in
+  let record = M.emit r in
+  let text = Exp_record.to_string record in
+  Out_channel.with_open_text out (fun oc -> output_string oc text);
+  if json then print_string text
   else begin
-    print_string (Exp_scale.render r);
+    print_string (M.render r);
     Printf.printf "(machine-readable record written to %s)\n" out
   end;
-  if not (Exp_report.all_pass r.Exp_scale.checks) then exit 1
+  if not (Exp_report.all_pass record.Exp_record.checks) then exit 1
 
-(* Schema dispatch lives in Exp_validate (one validator per record
-   schema, keyed by the record's own "schema" tag); this is just the
+(* Schema dispatch lives in Exp_validate (one Exp_record schema per
+   record, keyed by the record's own "schema" tag); this is just the
    file-and-exit-status shell around it. *)
 let run_validate file () =
   let contents =
@@ -74,58 +86,6 @@ let run_validate file () =
   | Error e ->
       Printf.eprintf "%s: %s\n" file e;
       exit 1
-
-let run_market quick json jobs out () =
-  let r = Exp_market.run ~quick ?jobs () in
-  let record = Exp_market.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_market.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_market.checks) then exit 1
-
-let run_tier quick json jobs out () =
-  let r = Exp_tier.run ~quick ~jobs () in
-  let record = Exp_tier.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_tier.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_tier.checks) then exit 1
-
-let run_cache quick json jobs out () =
-  let r = Exp_cache.run ~quick ~jobs () in
-  let record = Exp_cache.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_cache.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_cache.checks) then exit 1
-
-let run_shard quick json jobs out () =
-  let r = Exp_shard.run ~quick ~jobs () in
-  let record = Exp_shard.render_json r in
-  let oc = open_out out in
-  output_string oc record;
-  close_out oc;
-  if json then print_string record
-  else begin
-    print_string (Exp_shard.render r);
-    Printf.printf "(machine-readable record written to %s)\n" out
-  end;
-  if not (Exp_report.all_pass r.Exp_shard.checks) then exit 1
 
 let quick_flag =
   Arg.(value & flag & info [ "quick" ] ~doc:"Shorten the Table 4 simulation (60s instead of 300s).")
@@ -159,35 +119,24 @@ let perf_jobs_opt =
           "Domain count for the perf record's driver leg (default: the recommended domain \
            count).")
 
-let out_opt =
-  Arg.(
-    value & opt string "BENCH_perf.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-perf/2 record.")
-
-let market_out_opt =
-  Arg.(
-    value & opt string "BENCH_market.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-market/1 record.")
-
-let tier_out_opt =
-  Arg.(
-    value & opt string "BENCH_tier.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-tier/1 record.")
-
-let cache_out_opt =
-  Arg.(
-    value & opt string "BENCH_cache.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-cache/1 record.")
-
-let shard_out_opt =
-  Arg.(
-    value & opt string "BENCH_shard.json"
-    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the vpp-shard/1 record.")
-
 let file_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Record to validate.")
 
 let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
+
+(* [jobs] is [perf_jobs_opt] (perf and market: default the detected
+   domain count) or [one_job] (tier, cache and shard: default 1). *)
+let record_cmd name doc (module M : RECORD) ~jobs ~out =
+  let out_opt =
+    Arg.(
+      value & opt string out
+      & info [ "out" ] ~docv:"FILE"
+          ~doc:(Printf.sprintf "Where to write the %s record." M.schema.Exp_record.tag))
+  in
+  cmd name doc
+    Term.(const (run_record (module M)) $ quick_flag $ json_flag $ jobs $ out_opt $ const ())
+
+let one_job = Term.(const Option.some $ jobs_opt)
 
 let () =
   let cmds =
@@ -208,35 +157,32 @@ let () =
       cmd "profile"
         "Cost attribution for the Table 1 paths plus latency histograms (not a paper table)"
         Term.(const run_profile $ json_flag $ const ());
-      cmd "perf"
+      record_cmd "perf"
         "Simulator throughput at 8 MB/512 MB/4 GB machine sizes, the 4 KB-vs-superpage \
          streaming legs and the parallel-driver timing (the vpp-perf/2 record; not a paper \
          table)"
-        Term.(const run_perf $ quick_flag $ json_flag $ perf_jobs_opt $ out_opt $ const ());
-      cmd "perf-validate" "Deprecated alias for $(b,validate)"
-        Term.(const run_validate $ file_arg $ const ());
-      cmd "market"
+        (module Exp_scale) ~jobs:perf_jobs_opt ~out:"BENCH_perf.json";
+      record_cmd "market"
         "Multi-tenant memory market at production scale: admission control, lazy settlement \
          and per-class SLOs (the vpp-market/1 record; not a paper table)"
-        Term.(const run_market $ quick_flag $ json_flag $ perf_jobs_opt $ market_out_opt $ const ());
-      cmd "market-validate" "Deprecated alias for $(b,validate)"
-        Term.(const run_validate $ file_arg $ const ());
-      cmd "tier"
+        (module Exp_market) ~jobs:perf_jobs_opt ~out:"BENCH_market.json";
+      record_cmd "tier"
         "Single-tier vs tiered frame placement: a tier-oblivious pager against Mgr_tiered's \
          hot/cold migration on the same traces (the vpp-tier/1 record; not a paper table)"
-        Term.(const run_tier $ quick_flag $ json_flag $ jobs_opt $ tier_out_opt $ const ());
-      cmd "cache"
+        (module Exp_tier) ~jobs:one_job ~out:"BENCH_tier.json";
+      record_cmd "cache"
         "Frame placement vs a physically-indexed cache: the same trace under sequential, random \
          and page-colored placement (the vpp-cache/1 record; not a paper table)"
-        Term.(const run_cache $ quick_flag $ json_flag $ jobs_opt $ cache_out_opt $ const ());
-      cmd "shard"
+        (module Exp_cache) ~jobs:one_job ~out:"BENCH_cache.json";
+      record_cmd "shard"
         "Sharded DBMS throughput: the same transactions over 1/4/8 parallel shards with \
          two-phase commit on the cross-shard fraction (the vpp-shard/1 record; not a paper \
          table)"
-        Term.(const run_shard $ quick_flag $ json_flag $ jobs_opt $ shard_out_opt $ const ());
+        (module Exp_shard) ~jobs:one_job ~out:"BENCH_shard.json";
       cmd "validate"
-        "Validate any versioned record (vpp-perf/2, vpp-perf/1, vpp-market/1, vpp-profile/1, \
-         vpp-tier/1, vpp-cache/1, vpp-shard/1), dispatching on its embedded schema tag"
+        (Printf.sprintf
+           "Validate any versioned record (%s), dispatching on its embedded schema tag"
+           (String.concat ", " Exp_validate.known_schemas))
         Term.(const run_validate $ file_arg $ const ());
       cmd "all" "Every table and figure" Term.(const run_all $ quick_flag $ jobs_opt $ const ());
     ]

@@ -29,6 +29,7 @@
    are bit-identical including the JSON record. *)
 
 module J = Sim_json
+module R = Exp_record
 module K = Epcm_kernel
 module Seg = Epcm_segment
 module Mgr = Epcm_manager
@@ -36,7 +37,6 @@ module Flags = Epcm_flags
 module Phys = Hw_phys_mem
 module Engine = Sim_engine
 
-let schema_version = "vpp-cache/1"
 let page_size = 4096
 let cache_bytes = 64 * 1024
 let line_bytes = 64
@@ -73,7 +73,6 @@ type result = {
   n_colors : int;
   legs : leg list;
   replay_identical : bool;
-  checks : Exp_report.check list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -276,62 +275,80 @@ let run_colored ~rounds ~tiered () =
 
 let pct x = 100.0 *. x
 
-let checks_of ~legs ~replay_identical ~n_colors =
-  let find mode = List.find (fun l -> l.l_mode = mode) legs in
+let checks body =
+  let legs = R.list "legs" body in
+  let find mode = R.find (mode ^ " leg") (fun l -> R.str "mode" l = mode) legs in
   let sequential = find "sequential"
   and random = find "random"
   and colored = find "colored"
   and tiered = find "colored (tiered)" in
+  let int = R.int and miss_rate = R.num "miss_rate" and sim_us = R.num "sim_us" in
+  let n_colors = R.int "n_colors" (R.obj "geometry" body) in
   [
     Exp_report.check ~what:"frame conservation held in every leg"
-      ~pass:(List.for_all (fun l -> l.l_conserved) legs)
+      ~pass:(List.for_all (R.bool "conserved") legs)
       ~detail:(Printf.sprintf "%d legs" (List.length legs));
     Exp_report.check ~what:"cache stats conserved in every leg (accesses = hits + misses)"
-      ~pass:(List.for_all (fun l -> l.l_accesses = l.l_hits + l.l_misses) legs)
-      ~detail:(Printf.sprintf "%d accesses" colored.l_accesses);
+      ~pass:(List.for_all (fun l -> int "accesses" l = int "hits" l + int "misses" l) legs)
+      ~detail:(Printf.sprintf "%d accesses" (int "accesses" colored));
     Exp_report.check ~what:"all legs issued the identical reference stream"
       ~pass:
         (List.for_all
-           (fun l -> l.l_touches = colored.l_touches && l.l_accesses = colored.l_accesses)
+           (fun l ->
+             int "touches" l = int "touches" colored && int "accesses" l = int "accesses" colored)
            legs
-        && List.for_all (fun l -> l.l_faults = colored.l_faults) legs)
-      ~detail:(Printf.sprintf "%d touches, %d faults" colored.l_touches colored.l_faults);
+        && List.for_all (fun l -> int "faults" l = int "faults" colored) legs)
+      ~detail:
+        (Printf.sprintf "%d touches, %d faults" (int "touches" colored) (int "faults" colored));
     Exp_report.check ~what:"colored placement beats random on miss rate"
-      ~pass:(colored.l_miss_rate < random.l_miss_rate)
+      ~pass:(miss_rate colored < miss_rate random)
       ~detail:
-        (Printf.sprintf "%.2f%% vs %.2f%%" (pct colored.l_miss_rate) (pct random.l_miss_rate));
+        (Printf.sprintf "%.2f%% vs %.2f%%" (pct (miss_rate colored)) (pct (miss_rate random)));
     Exp_report.check ~what:"colored placement beats sequential on miss rate"
-      ~pass:(colored.l_miss_rate < sequential.l_miss_rate)
+      ~pass:(miss_rate colored < miss_rate sequential)
       ~detail:
-        (Printf.sprintf "%.2f%% vs %.2f%%" (pct colored.l_miss_rate)
-           (pct sequential.l_miss_rate));
+        (Printf.sprintf "%.2f%% vs %.2f%%" (pct (miss_rate colored))
+           (pct (miss_rate sequential)));
     Exp_report.check ~what:"miss penalties dominate: colored saves simulated time vs sequential"
-      ~pass:(colored.l_sim_us < sequential.l_sim_us)
+      ~pass:(sim_us colored < sim_us sequential)
       ~detail:
-        (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" colored.l_sim_us sequential.l_sim_us
-           (sequential.l_sim_us -. colored.l_sim_us));
+        (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" (sim_us colored) (sim_us sequential)
+           (sim_us sequential -. sim_us colored));
     Exp_report.check ~what:"colored leg is perfectly colored (no color misses, audit clean)"
       ~pass:
-        (colored.l_color_misses = 0
-        && colored.l_audit_good = colored.l_audit_total
-        && colored.l_audit_total = total_pages)
+        (int "color_misses" colored = 0
+        && int "audit_good" colored = int "audit_total" colored
+        && int "audit_total" colored = total_pages)
       ~detail:
-        (Printf.sprintf "%d/%d pages, %d misses" colored.l_audit_good colored.l_audit_total
-           colored.l_color_misses);
+        (Printf.sprintf "%d/%d pages, %d misses" (int "audit_good" colored)
+           (int "audit_total" colored) (int "color_misses" colored));
     Exp_report.check
       ~what:"tier-scoped coloring reproduces flat placement quality (frames_of_color ~tier)"
       ~pass:
-        (tiered.l_hits = colored.l_hits && tiered.l_misses = colored.l_misses
-        && tiered.l_color_misses = 0 && tiered.l_conserved)
+        (int "hits" tiered = int "hits" colored
+        && int "misses" tiered = int "misses" colored
+        && int "color_misses" tiered = 0
+        && R.bool "conserved" tiered)
       ~detail:
-        (Printf.sprintf "%d hits / %d misses on both" tiered.l_hits tiered.l_misses);
+        (Printf.sprintf "%d hits / %d misses on both" (int "hits" tiered) (int "misses" tiered));
     Exp_report.check ~what:"random leg deterministic per seed (replay identical)"
-      ~pass:replay_identical
+      ~pass:(R.bool "replay_identical" body)
       ~detail:(Printf.sprintf "seed %Ld" random_seed);
     Exp_report.check ~what:"cache geometry induces a usable color space"
       ~pass:(n_colors = hot_pages)
       ~detail:(Printf.sprintf "%d colors at %d B pages" n_colors page_size);
   ]
+
+let shape body =
+  ignore (R.str "mode" body);
+  List.iter
+    (fun leg ->
+      let mode = R.str "mode" leg and miss_rate = R.num "miss_rate" leg in
+      R.require (miss_rate >= 0.0 && miss_rate <= 1.0) (mode ^ ": miss rate out of range");
+      R.require (R.int "accesses" leg > 0) (mode ^ ": no cache accesses recorded"))
+    (R.list "legs" body)
+
+let schema = { R.tag = "vpp-cache/1"; shape; checks }
 
 let run ?(quick = false) ?(jobs = 1) () =
   let rounds = if quick then 800 else 2500 in
@@ -361,8 +378,46 @@ let run ?(quick = false) ?(jobs = 1) () =
     n_colors;
     legs;
     replay_identical;
-    checks = checks_of ~legs ~replay_identical ~n_colors;
   }
+
+let leg_json l =
+  J.Obj
+    [
+      ("mode", J.Str l.l_mode);
+      ("frames", J.Num (float_of_int l.l_frames));
+      ("touches", J.Num (float_of_int l.l_touches));
+      ("faults", J.Num (float_of_int l.l_faults));
+      ("migrate_calls", J.Num (float_of_int l.l_migrate_calls));
+      ("migrated_pages", J.Num (float_of_int l.l_migrated_pages));
+      ("accesses", J.Num (float_of_int l.l_accesses));
+      ("hits", J.Num (float_of_int l.l_hits));
+      ("misses", J.Num (float_of_int l.l_misses));
+      ("miss_rate", J.Num l.l_miss_rate);
+      ("color_misses", J.Num (float_of_int l.l_color_misses));
+      ("audit_good", J.Num (float_of_int l.l_audit_good));
+      ("audit_total", J.Num (float_of_int l.l_audit_total));
+      ("events", J.Num (float_of_int l.l_events));
+      ("sim_us", J.Num l.l_sim_us);
+      ("conserved", J.Bool l.l_conserved);
+    ]
+
+let body r =
+  [
+    ("mode", J.Str r.mode);
+    ( "geometry",
+      J.Obj
+        [
+          ("cache_bytes", J.Num (float_of_int cache_bytes));
+          ("line_bytes", J.Num (float_of_int line_bytes));
+          ("page_size", J.Num (float_of_int page_size));
+          ("n_colors", J.Num (float_of_int r.n_colors));
+        ] );
+    ("rounds", J.Num (float_of_int r.rounds));
+    ("legs", J.List (List.map leg_json r.legs));
+    ("replay_identical", J.Bool r.replay_identical);
+  ]
+
+let emit r = R.emit schema (body r)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -372,7 +427,7 @@ let render r =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     (Printf.sprintf "Cache: frame placement vs a physically-indexed L2 (%s record, %s mode)\n"
-       schema_version r.mode);
+       schema.R.tag r.mode);
   Buffer.add_string buf
     (Printf.sprintf
        "%d KB cache, %d B lines (%d colors at %d B pages); %d hot + %d cold pages, %d rounds\n"
@@ -400,126 +455,5 @@ let render r =
               ])
             r.legs));
   Buffer.add_string buf "\nShape checks:\n";
-  Buffer.add_string buf (Exp_report.render_checks r.checks);
+  Buffer.add_string buf (Exp_report.render_checks (emit r).R.checks);
   Buffer.contents buf
-
-let leg_json l =
-  J.Obj
-    [
-      ("mode", J.Str l.l_mode);
-      ("frames", J.Num (float_of_int l.l_frames));
-      ("touches", J.Num (float_of_int l.l_touches));
-      ("faults", J.Num (float_of_int l.l_faults));
-      ("migrate_calls", J.Num (float_of_int l.l_migrate_calls));
-      ("migrated_pages", J.Num (float_of_int l.l_migrated_pages));
-      ("accesses", J.Num (float_of_int l.l_accesses));
-      ("hits", J.Num (float_of_int l.l_hits));
-      ("misses", J.Num (float_of_int l.l_misses));
-      ("miss_rate", J.Num l.l_miss_rate);
-      ("color_misses", J.Num (float_of_int l.l_color_misses));
-      ("audit_good", J.Num (float_of_int l.l_audit_good));
-      ("audit_total", J.Num (float_of_int l.l_audit_total));
-      ("events", J.Num (float_of_int l.l_events));
-      ("sim_us", J.Num l.l_sim_us);
-      ("conserved", J.Bool l.l_conserved);
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ( "geometry",
-        J.Obj
-          [
-            ("cache_bytes", J.Num (float_of_int cache_bytes));
-            ("line_bytes", J.Num (float_of_int line_bytes));
-            ("page_size", J.Num (float_of_int page_size));
-            ("n_colors", J.Num (float_of_int r.n_colors));
-          ] );
-      ("rounds", J.Num (float_of_int r.rounds));
-      ("legs", J.List (List.map leg_json r.legs));
-      ("replay_identical", J.Bool r.replay_identical);
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* geometry = require "geometry" (J.member "geometry" json) in
-  let* n_colors =
-    require "geometry n_colors" (Option.bind (J.member "n_colors" geometry) J.to_float)
-  in
-  let* () =
-    if n_colors >= 2.0 then Ok () else Error "cache geometry induces fewer than two colors"
-  in
-  let* legs = require "legs" (Option.bind (J.member "legs" json) J.to_list) in
-  let* () = if List.length legs >= 3 then Ok () else Error "expected at least three legs" in
-  let leg_field what leg get = require ("leg " ^ what) (Option.bind (J.member what leg) get) in
-  let* parsed =
-    List.fold_left
-      (fun acc leg ->
-        let* acc = acc in
-        let* mode = leg_field "mode" leg J.to_str in
-        let* conserved = leg_field "conserved" leg J.to_bool in
-        let* accesses = leg_field "accesses" leg J.to_float in
-        let* hits = leg_field "hits" leg J.to_float in
-        let* misses = leg_field "misses" leg J.to_float in
-        let* miss_rate = leg_field "miss_rate" leg J.to_float in
-        if not conserved then Error (mode ^ ": frame conservation failed")
-        else if accesses <> hits +. misses then
-          Error (mode ^ ": cache stats not conserved (accesses <> hits + misses)")
-        else if miss_rate < 0.0 || miss_rate > 1.0 then Error (mode ^ ": miss rate out of range")
-        else if accesses <= 0.0 then Error (mode ^ ": no cache accesses recorded")
-        else Ok ((mode, miss_rate) :: acc))
-      (Ok []) legs
-  in
-  let find want = List.assoc_opt want parsed in
-  let* colored = require "colored leg" (find "colored") in
-  let* random = require "random leg" (find "random") in
-  let* sequential = require "sequential leg" (find "sequential") in
-  let* () =
-    if colored < random then Ok ()
-    else
-      Error
-        (Printf.sprintf "colored placement did not beat random (%.4f vs %.4f miss rate)" colored
-           random)
-  in
-  let* () =
-    if colored < sequential then Ok ()
-    else Error "colored placement did not beat sequential"
-  in
-  let* replay =
-    require "replay_identical" (Option.bind (J.member "replay_identical" json) J.to_bool)
-  in
-  let* () = if replay then Ok () else Error "random leg was not deterministic per seed" in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks

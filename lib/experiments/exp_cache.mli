@@ -4,11 +4,12 @@
     L2 ({!Hw_machine.create} [?cache]), plus a tier-scoped colored leg
     on a fast+slow machine.
 
-    The headline embedded check — and what {!validate_json} re-derives
-    from the record — is that colored placement beats random (and
-    sequential) on cache miss rate, with frame conservation and
-    cache-stat conservation ([accesses = hits + misses]) holding in
-    every leg, and the seeded random leg replaying identically. No
+    The headline {!Exp_record} check — embedded at emit and re-derived
+    from a written record by [vpp_repro validate] — is that colored
+    placement beats random (and sequential) on cache miss rate, with
+    frame conservation and cache-stat conservation
+    ([accesses = hits + misses]) holding in every leg, and the seeded
+    random leg replaying identically. No
     wall-clock anywhere: the record is bit-identical across reruns. *)
 
 type leg = {
@@ -36,10 +37,9 @@ type result = {
   n_colors : int;  (** page colors the cache geometry induces *)
   legs : leg list;
   replay_identical : bool;  (** seeded random leg reran bit-identically *)
-  checks : Exp_report.check list;
 }
 
-val schema_version : string
+val schema : Exp_record.schema
 (** ["vpp-cache/1"]. *)
 
 val run : ?quick:bool -> ?jobs:int -> unit -> result
@@ -47,12 +47,5 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     leg simulations over domains (in-order join — the assembled record
     is identical to a sequential run). *)
 
+val emit : result -> Exp_record.t
 val render : result -> string
-val to_json : result -> Sim_json.t
-val render_json : result -> string
-
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Machine-check a parsed record: schema tag, per-leg conservation
-    (frames and cache stats), miss rates in range, colored < random and
-    colored < sequential on miss rate, deterministic replay, and every
-    embedded check passing. *)

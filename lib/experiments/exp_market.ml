@@ -1,7 +1,6 @@
 module J = Sim_json
 module W = Wl_market
-
-let schema_version = "vpp-market/1"
+module R = Exp_record
 
 type leg = {
   l_result : W.result;
@@ -12,7 +11,6 @@ type result = {
   mode : string;
   jobs : int;
   legs : leg list;
-  checks : Exp_report.check list;
 }
 
 let timed f =
@@ -21,53 +19,69 @@ let timed f =
   (r, Unix.gettimeofday () -. t0)
 
 let slo_ordered s =
-  s.W.sc_samples = 0
-  || (s.W.sc_p50_us <= s.W.sc_p99_us && s.W.sc_p99_us <= s.W.sc_p999_us)
+  R.int "samples" s = 0
+  || (R.num "p50_us" s <= R.num "p99_us" s && R.num "p99_us" s <= R.num "p999_us" s)
 
-let checks_for r =
-  let name what = Printf.sprintf "%s: %s" r.W.r_name what in
+let leg_checks leg =
+  let int f = R.int f leg in
+  let name what = Printf.sprintf "%s: %s" (R.str "name" leg) what in
+  let completed = int "completed" and refused = int "refused" and tenants = int "tenants" in
+  let min_balance = R.num "min_balance" leg and billable_s = R.num "billable_s" leg in
+  let sim_s = R.num "sim_us" leg /. 1_000_000.0 in
+  let residual = R.num "conservation_residual" leg and slos = R.list "slos" leg in
   [
-    Exp_report.check ~what:(name "frame + process conservation held") ~pass:r.W.r_conserved
-      ~detail:(Printf.sprintf "%d frames, %d accounts" r.W.r_frames r.W.r_accounts);
+    Exp_report.check ~what:(name "frame + process conservation held") ~pass:(R.bool "conserved" leg)
+      ~detail:(Printf.sprintf "%d frames, %d accounts" (int "frames") (int "accounts"));
     Exp_report.check
       ~what:(name "every tenant completed or was refused")
-      ~pass:(r.W.r_completed + r.W.r_refused = r.W.r_tenants)
-      ~detail:
-        (Printf.sprintf "%d completed + %d refused of %d" r.W.r_completed r.W.r_refused
-           r.W.r_tenants);
+      ~pass:(completed + refused = tenants)
+      ~detail:(Printf.sprintf "%d completed + %d refused of %d" completed refused tenants);
     Exp_report.check
       ~what:(name "admission control was exercised (deferrals occurred)")
-      ~pass:(r.W.r_defer_events > 0)
-      ~detail:(Printf.sprintf "%d defer events" r.W.r_defer_events);
+      ~pass:(int "defer_events" > 0)
+      ~detail:(Printf.sprintf "%d defer events" (int "defer_events"));
     Exp_report.check
       ~what:(name "poor tenants were refused by the market")
-      ~pass:(r.W.r_refused > 0)
-      ~detail:(Printf.sprintf "%d refused" r.W.r_refused);
+      ~pass:(refused > 0)
+      ~detail:(Printf.sprintf "%d refused" refused);
     Exp_report.check
       ~what:(name "dram conservation: no minting or destruction")
-      ~pass:(r.W.r_conservation_residual < 1e-9)
-      ~detail:(Printf.sprintf "worst residual %.3e" r.W.r_conservation_residual);
+      ~pass:(residual < 1e-9)
+      ~detail:(Printf.sprintf "worst residual %.3e" residual);
     Exp_report.check
       ~what:(name "all solvent classes stayed solvent")
-      ~pass:(r.W.r_min_balance >= 0.0)
-      ~detail:(Printf.sprintf "min balance %.3f drams" r.W.r_min_balance);
+      ~pass:(min_balance >= 0.0)
+      ~detail:(Printf.sprintf "min balance %.3f drams" min_balance);
     Exp_report.check
       ~what:(name "SLO quantiles ordered p50 <= p99 <= p999")
-      ~pass:(List.for_all slo_ordered r.W.r_slos)
+      ~pass:(List.for_all slo_ordered slos)
       ~detail:
         (String.concat ", "
            (List.map
               (fun s ->
-                Printf.sprintf "%s %.0f/%.0f/%.0f" s.W.sc_class s.W.sc_p50_us s.W.sc_p99_us
-                  s.W.sc_p999_us)
-              r.W.r_slos));
+                Printf.sprintf "%s %.0f/%.0f/%.0f" (R.str "class" s) (R.num "p50_us" s)
+                  (R.num "p99_us" s) (R.num "p999_us" s))
+              slos));
     Exp_report.check
       ~what:(name "billable time never exceeds wall time")
-      ~pass:(r.W.r_billable_s <= (r.W.r_sim_us /. 1_000_000.0) +. 1e-9)
-      ~detail:
-        (Printf.sprintf "%.3fs billable of %.3fs simulated" r.W.r_billable_s
-           (r.W.r_sim_us /. 1_000_000.0));
+      ~pass:(billable_s <= sim_s +. 1e-9)
+      ~detail:(Printf.sprintf "%.3fs billable of %.3fs simulated" billable_s sim_s);
   ]
+
+let shape body =
+  ignore (R.str "mode" body);
+  let legs = R.list "legs" body in
+  R.require (legs <> []) "expected at least one leg";
+  List.iter
+    (fun leg -> R.require (R.num "wall_s" leg >= 0.0) (R.str "name" leg ^ ": negative wall time"))
+    legs
+
+let schema =
+  {
+    R.tag = "vpp-market/1";
+    shape;
+    checks = (fun body -> List.concat_map leg_checks (R.list "legs" body));
+  }
 
 let run ?(quick = false) ?jobs () =
   let jobs = match jobs with Some j -> max 1 j | None -> Exp_par.default_jobs () in
@@ -80,8 +94,61 @@ let run ?(quick = false) ?jobs () =
            { l_result = r; l_wall_s = wall })
          configs)
   in
-  let checks = List.concat_map (fun l -> checks_for l.l_result) legs in
-  { mode = (if quick then "quick" else "full"); jobs; legs; checks }
+  { mode = (if quick then "quick" else "full"); jobs; legs }
+
+let slo_json s =
+  J.Obj
+    [
+      ("class", J.Str s.W.sc_class);
+      ("tenants", J.Num (float_of_int s.W.sc_tenants));
+      ("completed", J.Num (float_of_int s.W.sc_completed));
+      ("refused", J.Num (float_of_int s.W.sc_refused));
+      ("samples", J.Num (float_of_int s.W.sc_samples));
+      ("p50_us", J.Num s.W.sc_p50_us);
+      ("p99_us", J.Num s.W.sc_p99_us);
+      ("p999_us", J.Num s.W.sc_p999_us);
+      ("max_us", J.Num s.W.sc_max_us);
+      ("violations", J.Num (float_of_int s.W.sc_violations));
+    ]
+
+let body r =
+  [
+    ("mode", J.Str r.mode);
+    ("jobs", J.Num (float_of_int r.jobs));
+    ( "legs",
+      J.List
+        (List.map
+           (fun l ->
+             let w = l.l_result in
+             J.Obj
+               [
+                 ("name", J.Str w.W.r_name);
+                 ("frames", J.Num (float_of_int w.W.r_frames));
+                 ("tenants", J.Num (float_of_int w.W.r_tenants));
+                 ("savers", J.Num (float_of_int w.W.r_savers));
+                 ("completed", J.Num (float_of_int w.W.r_completed));
+                 ("refused", J.Num (float_of_int w.W.r_refused));
+                 ("defer_events", J.Num (float_of_int w.W.r_defer_events));
+                 ("granted_frames", J.Num (float_of_int w.W.r_granted_frames));
+                 ("saver_cycles", J.Num (float_of_int w.W.r_saver_cycles));
+                 ("saver_starved", J.Num (float_of_int w.W.r_saver_starved));
+                 ("faults", J.Num (float_of_int w.W.r_faults));
+                 ("events", J.Num (float_of_int w.W.r_events));
+                 ("sim_us", J.Num w.W.r_sim_us);
+                 ("slo_us", J.Num w.W.r_slo_us);
+                 ("accounts", J.Num (float_of_int w.W.r_accounts));
+                 ("min_balance", J.Num w.W.r_min_balance);
+                 ("billable_s", J.Num w.W.r_billable_s);
+                 ("conservation_residual", J.Num w.W.r_conservation_residual);
+                 ("io_failures", J.Num (float_of_int w.W.r_io_failures));
+                 ("conserved", J.Bool w.W.r_conserved);
+                 ("wall_s", J.Num l.l_wall_s);
+                 ("slos", J.List (List.map slo_json w.W.r_slos));
+               ])
+           r.legs) );
+  ]
+
+let emit r = R.emit schema (body r)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -91,7 +158,7 @@ let render r =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf "Market: multi-tenant admission control at scale (%s record, %s mode)\n"
-       schema_version r.mode);
+       schema.R.tag r.mode);
   Buffer.add_string buf
     (Exp_report.fmt_table
        ~header:
@@ -145,136 +212,5 @@ let render r =
                 w.W.r_slos)))
     r.legs;
   Buffer.add_string buf "\nShape checks:\n";
-  Buffer.add_string buf (Exp_report.render_checks r.checks);
+  Buffer.add_string buf (Exp_report.render_checks (emit r).R.checks);
   Buffer.contents buf
-
-let slo_json s =
-  J.Obj
-    [
-      ("class", J.Str s.W.sc_class);
-      ("tenants", J.Num (float_of_int s.W.sc_tenants));
-      ("completed", J.Num (float_of_int s.W.sc_completed));
-      ("refused", J.Num (float_of_int s.W.sc_refused));
-      ("samples", J.Num (float_of_int s.W.sc_samples));
-      ("p50_us", J.Num s.W.sc_p50_us);
-      ("p99_us", J.Num s.W.sc_p99_us);
-      ("p999_us", J.Num s.W.sc_p999_us);
-      ("max_us", J.Num s.W.sc_max_us);
-      ("violations", J.Num (float_of_int s.W.sc_violations));
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ("jobs", J.Num (float_of_int r.jobs));
-      ( "legs",
-        J.List
-          (List.map
-             (fun l ->
-               let w = l.l_result in
-               J.Obj
-                 [
-                   ("name", J.Str w.W.r_name);
-                   ("frames", J.Num (float_of_int w.W.r_frames));
-                   ("tenants", J.Num (float_of_int w.W.r_tenants));
-                   ("savers", J.Num (float_of_int w.W.r_savers));
-                   ("completed", J.Num (float_of_int w.W.r_completed));
-                   ("refused", J.Num (float_of_int w.W.r_refused));
-                   ("defer_events", J.Num (float_of_int w.W.r_defer_events));
-                   ("granted_frames", J.Num (float_of_int w.W.r_granted_frames));
-                   ("saver_cycles", J.Num (float_of_int w.W.r_saver_cycles));
-                   ("saver_starved", J.Num (float_of_int w.W.r_saver_starved));
-                   ("faults", J.Num (float_of_int w.W.r_faults));
-                   ("events", J.Num (float_of_int w.W.r_events));
-                   ("sim_us", J.Num w.W.r_sim_us);
-                   ("slo_us", J.Num w.W.r_slo_us);
-                   ("accounts", J.Num (float_of_int w.W.r_accounts));
-                   ("min_balance", J.Num w.W.r_min_balance);
-                   ("billable_s", J.Num w.W.r_billable_s);
-                   ("conservation_residual", J.Num w.W.r_conservation_residual);
-                   ("io_failures", J.Num (float_of_int w.W.r_io_failures));
-                   ("conserved", J.Bool w.W.r_conserved);
-                   ("wall_s", J.Num l.l_wall_s);
-                   ("slos", J.List (List.map slo_json w.W.r_slos));
-                 ])
-             r.legs) );
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* legs = require "legs" (Option.bind (J.member "legs" json) J.to_list) in
-  let* () = if legs <> [] then Ok () else Error "expected at least one leg" in
-  let* () =
-    List.fold_left
-      (fun acc leg ->
-        let* () = acc in
-        let* name = require "leg name" (Option.bind (J.member "name" leg) J.to_str) in
-        let* conserved = require "conserved" (Option.bind (J.member "conserved" leg) J.to_bool) in
-        let* tenants = require "tenants" (Option.bind (J.member "tenants" leg) J.to_float) in
-        let* completed = require "completed" (Option.bind (J.member "completed" leg) J.to_float) in
-        let* refused = require "refused" (Option.bind (J.member "refused" leg) J.to_float) in
-        let* defers =
-          require "defer_events" (Option.bind (J.member "defer_events" leg) J.to_float)
-        in
-        let* residual =
-          require "conservation_residual"
-            (Option.bind (J.member "conservation_residual" leg) J.to_float)
-        in
-        let* wall = require "wall_s" (Option.bind (J.member "wall_s" leg) J.to_float) in
-        let* slos = require "slos" (Option.bind (J.member "slos" leg) J.to_list) in
-        let* () =
-          List.fold_left
-            (fun acc s ->
-              let* () = acc in
-              let* cls = require "slo class" (Option.bind (J.member "class" s) J.to_str) in
-              let* samples = require "samples" (Option.bind (J.member "samples" s) J.to_float) in
-              let* p50 = require "p50_us" (Option.bind (J.member "p50_us" s) J.to_float) in
-              let* p99 = require "p99_us" (Option.bind (J.member "p99_us" s) J.to_float) in
-              let* p999 = require "p999_us" (Option.bind (J.member "p999_us" s) J.to_float) in
-              if samples > 0.0 && not (p50 <= p99 && p99 <= p999) then
-                Error (Printf.sprintf "%s/%s: SLO quantiles out of order" name cls)
-              else Ok ())
-            (Ok ()) slos
-        in
-        if not conserved then Error (name ^ ": conservation failed")
-        else if completed +. refused <> tenants then Error (name ^ ": tenants unaccounted for")
-        else if defers <= 0.0 then Error (name ^ ": admission queue never exercised")
-        else if residual >= 1e-9 then Error (name ^ ": dram conservation residual too large")
-        else if wall < 0.0 then Error (name ^ ": negative wall time")
-        else Ok ())
-      (Ok ()) legs
-  in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks

@@ -2,15 +2,18 @@
     ({!Wl_market}) at one or two scales, with per-class SLO tables,
     market-conservation audits and machine-checked shape checks.
 
-    Follows the [vpp-perf/1] pattern: [run] produces a result whose JSON
-    rendering carries a [schema] tag and a [checks] array; [validate_json]
-    re-checks a written record (schema presence, conservation flags, SLO
-    quantile ordering, all checks passing) so CI can gate on the file
-    itself. Wall-clock seconds come from [Unix.gettimeofday] — the same
-    deliberate exception to the no-wall-clock rule as [Exp_scale]; every
-    other field is deterministic from the workload seeds. *)
+    The record is an {!Exp_record} schema: its checks (frame, process
+    and dram conservation, every tenant completed or refused, admission
+    deferrals and refusals occurring, solvency, SLO quantile ordering,
+    billable time within simulated time) are evaluated on the emitted
+    JSON and re-derived from a written file by [vpp_repro validate], so
+    CI gates on the file itself. Wall-clock seconds come from
+    [Unix.gettimeofday] — the same deliberate exception to the
+    no-wall-clock rule as [Exp_scale]; every other field is deterministic
+    from the workload seeds. *)
 
-val schema_version : string
+val schema : Exp_record.schema
+(** ["vpp-market/1"]. *)
 
 type leg = {
   l_result : Wl_market.result;
@@ -21,7 +24,6 @@ type result = {
   mode : string;  (** "quick" (small leg only) or "full". *)
   jobs : int;
   legs : leg list;
-  checks : Exp_report.check list;
 }
 
 val run : ?quick:bool -> ?jobs:int -> unit -> result
@@ -29,8 +31,5 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     (~5,000 tenants). [jobs] fans the legs over domains ({!Exp_par.map});
     results are deterministic either way. *)
 
+val emit : result -> Exp_record.t
 val render : result -> string
-val to_json : result -> Sim_json.t
-val render_json : result -> string
-
-val validate_json : Sim_json.t -> (unit, string) Result.t

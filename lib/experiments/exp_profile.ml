@@ -3,8 +3,7 @@ module Engine = Sim_engine
 module Seg = Epcm_segment
 module Metrics = Sim_metrics
 module J = Sim_json
-
-let schema_version = "vpp-profile/1"
+module R = Exp_record
 
 type row = {
   p_label : string;
@@ -16,7 +15,6 @@ type row = {
 type result = {
   rows : row list;
   latency : (string * Metrics.Hist.t) list;
-  checks : Exp_report.check list;
 }
 
 let span_sum row = List.fold_left (fun acc (_, _, us) -> acc +. us) 0.0 row.p_spans
@@ -196,44 +194,92 @@ let latency_workload () =
 let run () =
   let rows = table1_rows () in
   let latency = latency_workload () in
-  let row_checks =
-    List.concat_map
-      (fun row ->
-        let sum = span_sum row in
-        [
-          Exp_report.check
-            ~what:(Printf.sprintf "%s spans sum to the pinned identity" row.p_label)
-            ~pass:(Float.abs (sum -. row.p_pinned_us) < 1e-6)
-            ~detail:(Printf.sprintf "sum %.1f us, pinned %.1f us" sum row.p_pinned_us);
-          Exp_report.check
-            ~what:(Printf.sprintf "%s measured time equals the pinned identity" row.p_label)
-            ~pass:(Float.abs (row.p_measured_us -. row.p_pinned_us) < 1e-6)
-            ~detail:
-              (Printf.sprintf "measured %.1f us, pinned %.1f us" row.p_measured_us
-                 row.p_pinned_us);
-        ])
-      rows
-  in
-  let latency_checks =
-    [
+  { rows; latency }
+
+(* ------------------------------------------------------------------ *)
+(* The record                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let row_checks row =
+  let label = R.str "row" row and pinned = R.num "pinned_us" row in
+  let measured = R.num "measured_us" row in
+  let sum = List.fold_left (fun acc span -> acc +. R.num "us" span) 0.0 (R.list "spans" row) in
+  [
+    Exp_report.check
+      ~what:(Printf.sprintf "%s spans sum to the pinned identity" label)
+      ~pass:(Float.abs (sum -. pinned) < 1e-6)
+      ~detail:(Printf.sprintf "sum %.1f us, pinned %.1f us" sum pinned);
+    Exp_report.check
+      ~what:(Printf.sprintf "%s measured time equals the pinned identity" label)
+      ~pass:(Float.abs (measured -. pinned) < 1e-6)
+      ~detail:(Printf.sprintf "measured %.1f us, pinned %.1f us" measured pinned);
+  ]
+
+let checks body =
+  let latency = R.list "latency" body in
+  let kinds = List.map (R.str "kind") latency in
+  List.concat_map row_checks (R.list "table1_decomposition" body)
+  @ [
       Exp_report.check ~what:"paging workload populates fault and disk histograms"
         ~pass:
           (List.for_all
-             (fun kind -> List.mem_assoc kind latency)
+             (fun kind -> List.mem kind kinds)
              [ "kernel.fault"; "disk.read"; "disk.write"; "backing.read"; "wal.flush" ])
-        ~detail:(String.concat ", " (List.map fst latency));
+        ~detail:(String.concat ", " kinds);
       Exp_report.check ~what:"histogram quantiles are ordered p50 <= p95 <= p99 <= max"
         ~pass:
           (List.for_all
-             (fun (_, h) ->
-               Metrics.Hist.p50 h <= Metrics.Hist.p95 h
-               && Metrics.Hist.p95 h <= Metrics.Hist.p99 h
-               && Metrics.Hist.p99 h <= Metrics.Hist.max_value h)
+             (fun h ->
+               let q name = R.num name h in
+               q "p50_us" <= q "p95_us" && q "p95_us" <= q "p99_us" && q "p99_us" <= q "max_us")
              latency)
         ~detail:(Printf.sprintf "%d kinds" (List.length latency));
     ]
-  in
-  { rows; latency; checks = row_checks @ latency_checks }
+
+let shape body =
+  let rows = R.list "table1_decomposition" body in
+  R.require (List.length rows = 8) "expected 8 table-1 rows";
+  List.iter (fun row -> List.iter (fun span -> ignore (R.str "path" span)) (R.list "spans" row)) rows;
+  List.iter (fun h -> ignore (R.num "count" h)) (R.list "latency" body)
+
+let schema = { R.tag = "vpp-profile/1"; shape; checks }
+
+let body r =
+  [
+    ( "table1_decomposition",
+      J.List
+        (List.map
+           (fun row ->
+             J.Obj
+               [
+                 ("row", J.Str row.p_label);
+                 ("pinned_us", J.Num row.p_pinned_us);
+                 ("measured_us", J.Num row.p_measured_us);
+                 ("span_sum_us", J.Num (span_sum row));
+                 ( "spans",
+                   J.List
+                     (List.map
+                        (fun (path, n, us) ->
+                          J.Obj
+                            [
+                              ("path", J.Str path);
+                              ("count", J.Num (float_of_int n));
+                              ("us", J.Num us);
+                            ])
+                        row.p_spans) );
+               ])
+           r.rows) );
+    ( "latency",
+      J.List
+        (List.map
+           (fun (kind, h) ->
+             match Metrics.hist_to_json h with
+             | J.Obj fields -> J.Obj (("kind", J.Str kind) :: fields)
+             | other -> other)
+           r.latency) );
+  ]
+
+let emit r = R.emit schema (body r)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -269,120 +315,5 @@ let render r =
               ])
             r.latency));
   Buffer.add_string buf "\nShape checks:\n";
-  Buffer.add_string buf (Exp_report.render_checks r.checks);
+  Buffer.add_string buf (Exp_report.render_checks (emit r).R.checks);
   Buffer.contents buf
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ( "table1_decomposition",
-        J.List
-          (List.map
-             (fun row ->
-               J.Obj
-                 [
-                   ("row", J.Str row.p_label);
-                   ("pinned_us", J.Num row.p_pinned_us);
-                   ("measured_us", J.Num row.p_measured_us);
-                   ("span_sum_us", J.Num (span_sum row));
-                   ( "spans",
-                     J.List
-                       (List.map
-                          (fun (path, n, us) ->
-                            J.Obj
-                              [
-                                ("path", J.Str path);
-                                ("count", J.Num (float_of_int n));
-                                ("us", J.Num us);
-                              ])
-                          row.p_spans) );
-                 ])
-             r.rows) );
-      ( "latency",
-        J.List
-          (List.map
-             (fun (kind, h) ->
-               match Metrics.hist_to_json h with
-               | J.Obj fields -> J.Obj (("kind", J.Str kind) :: fields)
-               | other -> other)
-             r.latency) );
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* rows =
-    require "table1_decomposition" (Option.bind (J.member "table1_decomposition" json) J.to_list)
-  in
-  let* () = if List.length rows = 8 then Ok () else Error "expected 8 table-1 rows" in
-  let* () =
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let* label = require "row label" (Option.bind (J.member "row" row) J.to_str) in
-        let* pinned = require "pinned_us" (Option.bind (J.member "pinned_us" row) J.to_float) in
-        let* spans = require "spans" (Option.bind (J.member "spans" row) J.to_list) in
-        let* sum =
-          List.fold_left
-            (fun acc span ->
-              let* acc = acc in
-              let* us = require "span us" (Option.bind (J.member "us" span) J.to_float) in
-              let* _ = require "span path" (Option.bind (J.member "path" span) J.to_str) in
-              Ok (acc +. us))
-            (Ok 0.0) spans
-        in
-        if Float.abs (sum -. pinned) < 1e-6 then Ok ()
-        else Error (Printf.sprintf "%s: spans sum to %.3f, pinned %.3f" label sum pinned))
-      (Ok ()) rows
-  in
-  let* hists = require "latency" (Option.bind (J.member "latency" json) J.to_list) in
-  let* () =
-    List.fold_left
-      (fun acc h ->
-        let* () = acc in
-        let* kind = require "latency kind" (Option.bind (J.member "kind" h) J.to_str) in
-        let field name = require (kind ^ " " ^ name) (Option.bind (J.member name h) J.to_float) in
-        let* _count = field "count" in
-        let* p50 = field "p50_us" in
-        let* p95 = field "p95_us" in
-        let* p99 = field "p99_us" in
-        let* mx = field "max_us" in
-        if p50 <= p95 && p95 <= p99 && p99 <= mx then Ok ()
-        else Error (kind ^ ": quantiles out of order"))
-      (Ok ()) hists
-  in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      match Option.bind (J.member "pass" c) (function J.Bool b -> Some b | _ -> None) with
-      | Some true -> Ok ()
-      | Some false ->
-          Error
-            (Printf.sprintf "failed check: %s"
-               (Option.value ~default:"?" (Option.bind (J.member "what" c) J.to_str)))
-      | None -> Error "check without a pass field")
-    (Ok ()) checks

@@ -5,8 +5,10 @@
     schema-stable JSON record ([BENCH_observability.json] /
     [vpp_repro profile --json]). *)
 
-val schema_version : string
-(** ["vpp-profile/1"]. Bump when the record layout changes. *)
+val schema : Exp_record.schema
+(** ["vpp-profile/1"]. Bump when the record layout changes. Its checks
+    pin each row's span sum and measured time to the Table 1 identity
+    and require populated, ordered latency histograms. *)
 
 type row = {
   p_label : string;  (** The identity's name in [Hw_cost] ([vpp_read_4kb], ...). *)
@@ -20,7 +22,6 @@ type row = {
 type result = {
   rows : row list;  (** The eight Table 1 identities, in table order. *)
   latency : (string * Sim_metrics.Hist.t) list;  (** Histograms by kind. *)
-  checks : Exp_report.check list;
 }
 
 val run : unit -> result
@@ -28,11 +29,4 @@ val run : unit -> result
 val render : result -> string
 (** Human-readable profile: per-row decompositions plus a quantile table. *)
 
-val to_json : result -> Sim_json.t
-val render_json : result -> string
-(** [to_json] printed stably (two-space indent, trailing newline). *)
-
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Structural schema check used by the bench-smoke test: version string,
-    eight rows whose spans sum to their pinned totals, ordered quantiles,
-    and all embedded shape checks passing. *)
+val emit : result -> Exp_record.t

@@ -8,9 +8,7 @@
    between hosts. *)
 
 module J = Sim_json
-
-let schema_version = "vpp-perf/2"
-let schema_version_v1 = "vpp-perf/1"
+module R = Exp_record
 
 type scale_row = {
   s_result : Wl_scale.result;
@@ -34,7 +32,6 @@ type result = {
   scales : scale_row list;
   stream : stream_row list;
   driver : driver;
-  checks : Exp_report.check list;
 }
 
 let timed f =
@@ -90,65 +87,147 @@ let run ?(quick = false) ?jobs () =
   let driver =
     { d_jobs = jobs; d_sequential_s = seq_s; d_parallel_s = par_s; d_identical = seq_out = par_out }
   in
-  let checks =
-    List.concat_map
-      (fun s ->
-        let r = s.s_result in
-        [
-          Exp_report.check
-            ~what:(Printf.sprintf "%s: frame conservation held" r.Wl_scale.r_name)
-            ~pass:r.Wl_scale.r_conserved
-            ~detail:(Printf.sprintf "%d frames" r.Wl_scale.r_frames);
-          Exp_report.check
-            ~what:(Printf.sprintf "%s: workload exercised every axis" r.Wl_scale.r_name)
-            ~pass:
-              (r.Wl_scale.r_faults > 0 && r.Wl_scale.r_migrated_pages > 0
-             && r.Wl_scale.r_events > 0)
-            ~detail:
-              (Printf.sprintf "%d faults, %d migrated, %d events" r.Wl_scale.r_faults
-                 r.Wl_scale.r_migrated_pages r.Wl_scale.r_events);
-        ])
-      scales
-    @ [
-        Exp_report.check ~what:"event count grows with machine size"
-          ~pass:
-            (let evs = List.map (fun s -> s.s_result.Wl_scale.r_events) scales in
-             List.sort compare evs = evs && List.length (List.sort_uniq compare evs) = List.length evs)
-          ~detail:
-            (String.concat ", "
-               (List.map (fun s -> string_of_int s.s_result.Wl_scale.r_events) scales));
-        Exp_report.check ~what:"parallel driver output byte-identical to sequential"
-          ~pass:driver.d_identical
-          ~detail:(Printf.sprintf "%d job(s)" driver.d_jobs);
-      ]
-    @
-    let plain = (List.nth stream 0).t_result and sp = (List.nth stream 1).t_result in
-    [
+  { mode = (if quick then "quick" else "full"); scales; stream; driver }
+
+(* ------------------------------------------------------------------ *)
+(* The record                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let scale_checks s =
+  let name = R.str "name" s and int f = R.int f s in
+  [
+    Exp_report.check
+      ~what:(Printf.sprintf "%s: frame conservation held" name)
+      ~pass:(R.bool "conserved" s)
+      ~detail:(Printf.sprintf "%d frames" (int "frames"));
+    Exp_report.check
+      ~what:(Printf.sprintf "%s: workload exercised every axis" name)
+      ~pass:(int "faults" > 0 && int "migrated_pages" > 0 && int "events" > 0)
+      ~detail:
+        (Printf.sprintf "%d faults, %d migrated, %d events" (int "faults") (int "migrated_pages")
+           (int "events"));
+  ]
+
+let checks body =
+  let scales = R.list "scales" body and driver = R.obj "driver" body in
+  let stream = R.list "stream" body and int = R.int in
+  let leg what superpages = R.find what (fun l -> R.bool "superpages" l = superpages) stream in
+  let plain = leg "4 KB stream leg" false and sp = leg "superpage stream leg" true in
+  List.concat_map scale_checks scales
+  @ [
+      Exp_report.check ~what:"event count grows with machine size"
+        ~pass:
+          (let evs = List.map (int "events") scales in
+           List.sort compare evs = evs && List.length (List.sort_uniq compare evs) = List.length evs)
+        ~detail:(String.concat ", " (List.map (fun s -> string_of_int (int "events" s)) scales));
+      Exp_report.check ~what:"parallel driver output byte-identical to sequential"
+        ~pass:(R.bool "parallel_identical" driver)
+        ~detail:(Printf.sprintf "%d job(s)" (int "jobs" driver));
       Exp_report.check ~what:"stream: frame conservation held on both legs"
-        ~pass:(plain.Wl_scale.s_conserved && sp.Wl_scale.s_conserved)
-        ~detail:(Printf.sprintf "%d frames" plain.Wl_scale.s_frames);
+        ~pass:(R.bool "conserved" plain && R.bool "conserved" sp)
+        ~detail:(Printf.sprintf "%d frames" (int "frames" plain));
       Exp_report.check ~what:"stream: legs issued identical references"
         ~pass:
-          (plain.Wl_scale.s_touches = sp.Wl_scale.s_touches
-          && plain.Wl_scale.s_stream_pages = sp.Wl_scale.s_stream_pages)
+          (int "touches" plain = int "touches" sp
+          && int "stream_pages" plain = int "stream_pages" sp)
         ~detail:
-          (Printf.sprintf "%d touches over %d pages" plain.Wl_scale.s_touches
-             plain.Wl_scale.s_stream_pages);
+          (Printf.sprintf "%d touches over %d pages" (int "touches" plain)
+             (int "stream_pages" plain));
       Exp_report.check ~what:"stream: superpage leg takes >= 100x fewer faults"
-        ~pass:(sp.Wl_scale.s_faults > 0 && plain.Wl_scale.s_faults >= 100 * sp.Wl_scale.s_faults)
+        ~pass:(int "faults" sp > 0 && int "faults" plain >= 100 * int "faults" sp)
         ~detail:
-          (Printf.sprintf "%d vs %d faults (%.0fx)" plain.Wl_scale.s_faults sp.Wl_scale.s_faults
-             (float_of_int plain.Wl_scale.s_faults /. float_of_int (max 1 sp.Wl_scale.s_faults)));
+          (Printf.sprintf "%d vs %d faults (%.0fx)" (int "faults" plain) (int "faults" sp)
+             (float_of_int (int "faults" plain) /. float_of_int (max 1 (int "faults" sp))));
       Exp_report.check ~what:"stream: superpage leg promoted and split regions"
         ~pass:
-          (sp.Wl_scale.s_sp_promotions > 0 && sp.Wl_scale.s_sp_demotions > 0
-          && plain.Wl_scale.s_sp_promotions = 0)
+          (int "sp_promotions" sp > 0
+          && int "sp_demotions" sp > 0
+          && int "sp_promotions" plain = 0)
         ~detail:
-          (Printf.sprintf "%d promotions, %d demotions" sp.Wl_scale.s_sp_promotions
-             sp.Wl_scale.s_sp_demotions);
+          (Printf.sprintf "%d promotions, %d demotions" (int "sp_promotions" sp)
+             (int "sp_demotions" sp));
     ]
-  in
-  { mode = (if quick then "quick" else "full"); scales; stream; driver; checks }
+
+let shape body =
+  ignore (R.str "mode" body);
+  let scales = R.list "scales" body in
+  R.require (List.length scales >= 2) "expected at least two scales";
+  List.iter
+    (fun s -> R.require (R.num "wall_s" s >= 0.0) (R.str "name" s ^ ": negative wall time"))
+    scales;
+  R.require (List.length (R.list "stream" body) = 2) "expected exactly two stream legs";
+  R.require (R.int "jobs" (R.obj "driver" body) >= 1) "driver jobs < 1"
+
+let schema = { R.tag = "vpp-perf/2"; shape; checks }
+
+let body r =
+  [
+    ("mode", J.Str r.mode);
+    ( "scales",
+      J.List
+        (List.map
+           (fun s ->
+             let w = s.s_result in
+             J.Obj
+               [
+                 ("name", J.Str w.Wl_scale.r_name);
+                 ("memory_bytes", J.Num (float_of_int w.Wl_scale.r_memory_bytes));
+                 ("frames", J.Num (float_of_int w.Wl_scale.r_frames));
+                 ("touches", J.Num (float_of_int w.Wl_scale.r_touches));
+                 ("faults", J.Num (float_of_int w.Wl_scale.r_faults));
+                 ("migrate_calls", J.Num (float_of_int w.Wl_scale.r_migrate_calls));
+                 ("migrated_pages", J.Num (float_of_int w.Wl_scale.r_migrated_pages));
+                 ("events", J.Num (float_of_int w.Wl_scale.r_events));
+                 ("sim_us", J.Num w.Wl_scale.r_sim_us);
+                 ("conserved", J.Bool w.Wl_scale.r_conserved);
+                 ("wall_s", J.Num s.s_wall_s);
+                 ("events_per_s", J.Num (per_sec w.Wl_scale.r_events s.s_wall_s));
+                 ("faults_per_s", J.Num (per_sec w.Wl_scale.r_faults s.s_wall_s));
+                 ( "migrated_pages_per_s",
+                   J.Num (per_sec w.Wl_scale.r_migrated_pages s.s_wall_s) );
+               ])
+           r.scales) );
+    ( "stream",
+      J.List
+        (List.map
+           (fun s ->
+             let w = s.t_result in
+             J.Obj
+               [
+                 ("name", J.Str w.Wl_scale.s_name);
+                 ("superpages", J.Bool w.Wl_scale.s_superpages);
+                 ("memory_bytes", J.Num (float_of_int w.Wl_scale.s_memory_bytes));
+                 ("frames", J.Num (float_of_int w.Wl_scale.s_frames));
+                 ("pages_per_superpage", J.Num (float_of_int w.Wl_scale.s_run));
+                 ("stream_pages", J.Num (float_of_int w.Wl_scale.s_stream_pages));
+                 ("touches", J.Num (float_of_int w.Wl_scale.s_touches));
+                 ("faults", J.Num (float_of_int w.Wl_scale.s_faults));
+                 ("migrate_calls", J.Num (float_of_int w.Wl_scale.s_migrate_calls));
+                 ("migrated_pages", J.Num (float_of_int w.Wl_scale.s_migrated_pages));
+                 ("sp_promotions", J.Num (float_of_int w.Wl_scale.s_sp_promotions));
+                 ("sp_demotions", J.Num (float_of_int w.Wl_scale.s_sp_demotions));
+                 ("events", J.Num (float_of_int w.Wl_scale.s_events));
+                 ("sim_us", J.Num w.Wl_scale.s_sim_us);
+                 ("conserved", J.Bool w.Wl_scale.s_conserved);
+                 ("wall_s", J.Num s.t_wall_s);
+               ])
+           r.stream) );
+    ( "driver",
+      J.Obj
+        [
+          ("jobs", J.Num (float_of_int r.driver.d_jobs));
+          ("sequential_s", J.Num r.driver.d_sequential_s);
+          ("parallel_s", J.Num r.driver.d_parallel_s);
+          ( "speedup",
+            J.Num
+              (if r.driver.d_parallel_s > 0.0 then
+                 r.driver.d_sequential_s /. r.driver.d_parallel_s
+               else 0.0) );
+          ("parallel_identical", J.Bool r.driver.d_identical);
+        ] );
+  ]
+
+let emit r = R.emit schema (body r)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -159,7 +238,7 @@ let mb bytes = float_of_int bytes /. (1024.0 *. 1024.0)
 let render r =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
-    (Printf.sprintf "Perf: simulator throughput at scale (%s record, %s mode)\n" schema_version
+    (Printf.sprintf "Perf: simulator throughput at scale (%s record, %s mode)\n" schema.R.tag
        r.mode);
   Buffer.add_string buf
     (Exp_report.fmt_table
@@ -209,169 +288,5 @@ let render r =
        r.driver.d_sequential_s r.driver.d_parallel_s r.driver.d_jobs
        (if r.driver.d_identical then "identical" else "DIFFER"));
   Buffer.add_string buf "\nShape checks:\n";
-  Buffer.add_string buf (Exp_report.render_checks r.checks);
+  Buffer.add_string buf (Exp_report.render_checks (emit r).R.checks);
   Buffer.contents buf
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ( "scales",
-        J.List
-          (List.map
-             (fun s ->
-               let w = s.s_result in
-               J.Obj
-                 [
-                   ("name", J.Str w.Wl_scale.r_name);
-                   ("memory_bytes", J.Num (float_of_int w.Wl_scale.r_memory_bytes));
-                   ("frames", J.Num (float_of_int w.Wl_scale.r_frames));
-                   ("touches", J.Num (float_of_int w.Wl_scale.r_touches));
-                   ("faults", J.Num (float_of_int w.Wl_scale.r_faults));
-                   ("migrate_calls", J.Num (float_of_int w.Wl_scale.r_migrate_calls));
-                   ("migrated_pages", J.Num (float_of_int w.Wl_scale.r_migrated_pages));
-                   ("events", J.Num (float_of_int w.Wl_scale.r_events));
-                   ("sim_us", J.Num w.Wl_scale.r_sim_us);
-                   ("conserved", J.Bool w.Wl_scale.r_conserved);
-                   ("wall_s", J.Num s.s_wall_s);
-                   ("events_per_s", J.Num (per_sec w.Wl_scale.r_events s.s_wall_s));
-                   ("faults_per_s", J.Num (per_sec w.Wl_scale.r_faults s.s_wall_s));
-                   ( "migrated_pages_per_s",
-                     J.Num (per_sec w.Wl_scale.r_migrated_pages s.s_wall_s) );
-                 ])
-             r.scales) );
-      ( "stream",
-        J.List
-          (List.map
-             (fun s ->
-               let w = s.t_result in
-               J.Obj
-                 [
-                   ("name", J.Str w.Wl_scale.s_name);
-                   ("superpages", J.Bool w.Wl_scale.s_superpages);
-                   ("memory_bytes", J.Num (float_of_int w.Wl_scale.s_memory_bytes));
-                   ("frames", J.Num (float_of_int w.Wl_scale.s_frames));
-                   ("pages_per_superpage", J.Num (float_of_int w.Wl_scale.s_run));
-                   ("stream_pages", J.Num (float_of_int w.Wl_scale.s_stream_pages));
-                   ("touches", J.Num (float_of_int w.Wl_scale.s_touches));
-                   ("faults", J.Num (float_of_int w.Wl_scale.s_faults));
-                   ("migrate_calls", J.Num (float_of_int w.Wl_scale.s_migrate_calls));
-                   ("migrated_pages", J.Num (float_of_int w.Wl_scale.s_migrated_pages));
-                   ("sp_promotions", J.Num (float_of_int w.Wl_scale.s_sp_promotions));
-                   ("sp_demotions", J.Num (float_of_int w.Wl_scale.s_sp_demotions));
-                   ("events", J.Num (float_of_int w.Wl_scale.s_events));
-                   ("sim_us", J.Num w.Wl_scale.s_sim_us);
-                   ("conserved", J.Bool w.Wl_scale.s_conserved);
-                   ("wall_s", J.Num s.t_wall_s);
-                 ])
-             r.stream) );
-      ( "driver",
-        J.Obj
-          [
-            ("jobs", J.Num (float_of_int r.driver.d_jobs));
-            ("sequential_s", J.Num r.driver.d_sequential_s);
-            ("parallel_s", J.Num r.driver.d_parallel_s);
-            ( "speedup",
-              J.Num
-                (if r.driver.d_parallel_s > 0.0 then
-                   r.driver.d_sequential_s /. r.driver.d_parallel_s
-                 else 0.0) );
-            ("parallel_identical", J.Bool r.driver.d_identical);
-          ] );
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let validate_common ~expect_schema ~require_stream json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = expect_schema then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema expect_schema)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* scales = require "scales" (Option.bind (J.member "scales" json) J.to_list) in
-  let* () = if List.length scales >= 2 then Ok () else Error "expected at least two scales" in
-  let* () =
-    List.fold_left
-      (fun acc scale ->
-        let* () = acc in
-        let* name = require "scale name" (Option.bind (J.member "name" scale) J.to_str) in
-        let* conserved =
-          require "conserved" (Option.bind (J.member "conserved" scale) J.to_bool)
-        in
-        let* events = require "events" (Option.bind (J.member "events" scale) J.to_float) in
-        let* faults = require "faults" (Option.bind (J.member "faults" scale) J.to_float) in
-        let* wall = require "wall_s" (Option.bind (J.member "wall_s" scale) J.to_float) in
-        if not conserved then Error (name ^ ": frame conservation failed")
-        else if events <= 0.0 || faults <= 0.0 then Error (name ^ ": empty workload")
-        else if wall < 0.0 then Error (name ^ ": negative wall time")
-        else Ok ())
-      (Ok ()) scales
-  in
-  let* () =
-    if not require_stream then Ok ()
-    else
-      let* legs = require "stream" (Option.bind (J.member "stream" json) J.to_list) in
-      let* () = if List.length legs = 2 then Ok () else Error "expected exactly two stream legs" in
-      let leg_field what leg get = require ("stream " ^ what) (Option.bind (J.member what leg) get) in
-      let* parsed =
-        List.fold_left
-          (fun acc leg ->
-            let* acc = acc in
-            let* sp = leg_field "superpages" leg J.to_bool in
-            let* conserved = leg_field "conserved" leg J.to_bool in
-            let* faults = leg_field "faults" leg J.to_float in
-            let* touches = leg_field "touches" leg J.to_float in
-            if not conserved then Error "stream leg: frame conservation failed"
-            else if faults <= 0.0 then Error "stream leg: no faults recorded"
-            else Ok ((sp, faults, touches) :: acc))
-          (Ok []) legs
-      in
-      let find want = List.find_opt (fun (sp, _, _) -> sp = want) parsed in
-      let* _, plain_faults, plain_touches = require "4 KB stream leg" (find false) in
-      let* _, sp_faults, sp_touches = require "superpage stream leg" (find true) in
-      if plain_touches <> sp_touches then Error "stream legs issued different reference counts"
-      else if plain_faults < 100.0 *. sp_faults then
-        Error
-          (Printf.sprintf "superpage leg only %.1fx fewer faults (need >= 100x)"
-             (plain_faults /. sp_faults))
-      else Ok ()
-  in
-  let* drv = require "driver" (J.member "driver" json) in
-  let* identical =
-    require "parallel_identical" (Option.bind (J.member "parallel_identical" drv) J.to_bool)
-  in
-  let* () = if identical then Ok () else Error "parallel driver output differed" in
-  let* jobs = require "driver jobs" (Option.bind (J.member "jobs" drv) J.to_float) in
-  let* () = if jobs >= 1.0 then Ok () else Error "driver jobs < 1" in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks
-
-let validate_json json = validate_common ~expect_schema:schema_version ~require_stream:true json
-
-let validate_json_v1 json =
-  validate_common ~expect_schema:schema_version_v1 ~require_stream:false json

@@ -13,14 +13,15 @@
     comparing the deterministic count fields exactly and the throughput
     fields as ratios. *)
 
-val schema_version : string
+val schema : Exp_record.schema
 (** ["vpp-perf/2"]. Bump when the record layout changes. v2 added the
     [stream] leg: the same sequential stream at the largest machine size
-    run twice, with 4 KB fills and with superpage (2 MB) run grants. *)
-
-val schema_version_v1 : string
-(** ["vpp-perf/1"] — the pre-superpage layout, still accepted by
-    [vpp_repro validate] for old [BENCH_perf.json] files. *)
+    run twice, with 4 KB fills and with superpage (2 MB) run grants.
+    Its checks require frame conservation and a non-empty workload at
+    every size, event counts growing with size, a byte-identical
+    parallel driver, and stream legs issuing identical references with
+    the superpage leg taking at least 100x fewer faults and both
+    promoting and splitting regions. *)
 
 type scale_row = {
   s_result : Wl_scale.result;
@@ -48,7 +49,6 @@ type result = {
       (** The 4 KB and superpage legs of {!Wl_scale.run_stream} at the
           largest size in [scales] (4 GB full, 512 MB quick). *)
   driver : driver;
-  checks : Exp_report.check list;
 }
 
 val run : ?quick:bool -> ?jobs:int -> unit -> result
@@ -58,20 +58,5 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     join keeps every deterministic field identical to a sequential run —
     and sets the parallel driver leg's domain count. *)
 
+val emit : result -> Exp_record.t
 val render : result -> string
-
-val to_json : result -> Sim_json.t
-
-val render_json : result -> string
-(** [to_json] printed stably (two-space indent, trailing newline). *)
-
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Structural schema check used by the perf-smoke rule: version string,
-    at least two scales with positive deterministic counts and frame
-    conservation, exactly two stream legs issuing identical references
-    with the superpage leg at least 100x fewer faults, a driver leg whose
-    parallel output matched, and all embedded shape checks passing. *)
-
-val validate_json_v1 : Sim_json.t -> (unit, string) Stdlib.result
-(** The legacy [vpp-perf/1] check (no stream legs), kept so old records
-    still validate. *)

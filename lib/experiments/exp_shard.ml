@@ -17,8 +17,7 @@
    runs. *)
 
 module J = Sim_json
-
-let schema_version = "vpp-shard/1"
+module R = Exp_record
 
 type leg = {
   g_shards : int;
@@ -48,7 +47,6 @@ type result = {
   cross_fraction : float;
   legs : leg list;
   replay_identical : bool;
-  checks : Exp_report.check list;
 }
 
 let abort_rate_bound = 0.05
@@ -91,63 +89,79 @@ let run_leg ~spec ~shards ~jobs =
 (* The replay check compares everything but the wall clock. *)
 let leg_eq a b = { a with g_wall_s = 0.0 } = { b with g_wall_s = 0.0 }
 
-let checks_of ~legs ~replay_identical ~total_txns =
-  let single = List.find (fun l -> l.g_shards = 1) legs in
-  let multi = List.filter (fun l -> l.g_shards > 1) legs in
-  let four = List.hd multi in
+let checks body =
+  let legs = R.list "legs" body and total_txns = R.int "total_txns" body in
+  let shards = R.int "shards" and int = R.int and tps = R.num "tps" in
+  let abort_rate = R.num "abort_rate" in
+  let single = R.find "single-shard leg" (fun l -> shards l = 1) legs in
+  let multi = List.filter (fun l -> shards l > 1) legs in
+  let four = R.find "multi-shard leg" (fun l -> shards l > 1) legs in
   let rec increasing = function
-    | a :: (b :: _ as rest) -> a.g_tps < b.g_tps && increasing rest
+    | a :: (b :: _ as rest) -> tps a < tps b && increasing rest
     | _ -> true
   in
   [
     Exp_report.check ~what:"frame conservation held on every shard machine, every leg"
-      ~pass:(List.for_all (fun l -> l.g_conserved) legs)
+      ~pass:(List.for_all (R.bool "conserved") legs)
       ~detail:
         (Printf.sprintf "%d legs, %d machines" (List.length legs)
-           (List.fold_left (fun acc l -> acc + l.g_shards) 0 legs));
+           (List.fold_left (fun acc l -> acc + shards l) 0 legs));
     Exp_report.check ~what:"every transaction accounted: commits + aborts = total, every leg"
       ~pass:
         (List.for_all
            (fun l ->
-             l.g_commits + l.g_aborts = l.g_txns
-             && l.g_local + l.g_cross = l.g_txns
-             && l.g_txns = total_txns)
+             int "commits" l + int "aborts" l = int "txns" l
+             && int "local" l + int "cross" l = int "txns" l
+             && int "txns" l = total_txns)
            legs)
       ~detail:(Printf.sprintf "%d transactions per leg" total_txns);
     Exp_report.check
       ~what:
         (Printf.sprintf "abort rate bounded (< %.0f%%) in every leg" (100.0 *. abort_rate_bound))
-      ~pass:(List.for_all (fun l -> l.g_abort_rate < abort_rate_bound) legs)
+      ~pass:(List.for_all (fun l -> abort_rate l < abort_rate_bound) legs)
       ~detail:
         (Printf.sprintf "worst %.3f%%"
-           (100.0 *. List.fold_left (fun acc l -> Float.max acc l.g_abort_rate) 0.0 legs));
+           (100.0 *. List.fold_left (fun acc l -> Float.max acc (abort_rate l)) 0.0 legs));
     Exp_report.check ~what:"single shard is zero-delta: no 2PC messages, no DSM transfers"
       ~pass:
-        (single.g_msgs = 0 && single.g_transfers = 0 && single.g_cross = 0
-        && single.g_aborts = 0)
-      ~detail:(Printf.sprintf "%d local transactions" single.g_local);
+        (int "msgs" single = 0
+        && int "dsm_transfers" single = 0
+        && int "cross" single = 0
+        && int "aborts" single = 0)
+      ~detail:(Printf.sprintf "%d local transactions" (int "local" single));
     Exp_report.check ~what:"multi-shard legs run two-phase commits over the interconnect"
-      ~pass:(List.for_all (fun l -> l.g_cross > 0 && l.g_msgs > 0 && l.g_prepares > 0) multi)
+      ~pass:
+        (List.for_all (fun l -> int "cross" l > 0 && int "msgs" l > 0 && int "prepares" l > 0) multi)
       ~detail:
-        (Printf.sprintf "%d cross-shard txns, %d messages at %d shards" four.g_cross four.g_msgs
-           four.g_shards);
+        (Printf.sprintf "%d cross-shard txns, %d messages at %d shards" (int "cross" four)
+           (int "msgs" four) (shards four));
     Exp_report.check ~what:"aggregate TPS strictly increasing with shard count"
       ~pass:(increasing legs)
-      ~detail:
-        (String.concat " -> "
-           (List.map (fun l -> Printf.sprintf "%.0f" l.g_tps) legs));
+      ~detail:(String.concat " -> " (List.map (fun l -> Printf.sprintf "%.0f" (tps l)) legs));
     Exp_report.check
       ~what:
-        (Printf.sprintf "%d shards beat one shard on the same %d transactions" four.g_shards
+        (Printf.sprintf "%d shards beat one shard on the same %d transactions" (shards four)
            total_txns)
-      ~pass:(four.g_tps > single.g_tps)
+      ~pass:(tps four > tps single)
       ~detail:
-        (Printf.sprintf "%.0f vs %.0f TPS (x%.2f)" four.g_tps single.g_tps
-           (four.g_tps /. single.g_tps));
+        (Printf.sprintf "%.0f vs %.0f TPS (x%.2f)" (tps four) (tps single)
+           (tps four /. tps single));
     Exp_report.check ~what:"multi-shard leg deterministic per seed (replay identical)"
-      ~pass:replay_identical
+      ~pass:(R.bool "replay_identical" body)
       ~detail:(Printf.sprintf "seed %Ld" Db_shard.default.Db_shard.sp_seed);
   ]
+
+let shape body =
+  ignore (R.str "mode" body);
+  R.require (R.int "total_txns" body > 0) "no transactions in the record";
+  List.iter
+    (fun leg ->
+      let name = Printf.sprintf "%d-shard leg" (R.int "shards" leg) in
+      R.require (R.num "abort_rate" leg >= 0.0) (name ^ ": abort rate out of bounds");
+      R.require (R.num "tps" leg > 0.0) (name ^ ": no throughput recorded"))
+    (R.list "legs" body)
+
+let schema = { R.tag = "vpp-shard/1"; shape; checks }
 
 let run ?(quick = false) ?(jobs = 1) () =
   let total_txns = if quick then 20_000 else 1_000_000 in
@@ -163,8 +177,65 @@ let run ?(quick = false) ?(jobs = 1) () =
     cross_fraction = spec.Db_shard.sp_cross_fraction;
     legs;
     replay_identical = leg_eq four replay;
-    checks = checks_of ~legs ~replay_identical:(leg_eq four replay) ~total_txns;
   }
+
+let shard_json (d : Db_shard.result) =
+  J.Obj
+    [
+      ("shard", J.Num (float_of_int d.Db_shard.r_shard));
+      ("txns", J.Num (float_of_int d.Db_shard.r_txns));
+      ("commits", J.Num (float_of_int d.Db_shard.r_commits));
+      ("aborts", J.Num (float_of_int d.Db_shard.r_aborts));
+      ("local", J.Num (float_of_int d.Db_shard.r_local));
+      ("cross", J.Num (float_of_int d.Db_shard.r_cross));
+      ("p50_ms", J.Num d.Db_shard.r_p50_ms);
+      ("p99_ms", J.Num d.Db_shard.r_p99_ms);
+      ("tps", J.Num d.Db_shard.r_tps);
+      ("sim_us", J.Num d.Db_shard.r_sim_us);
+      ("events", J.Num (float_of_int d.Db_shard.r_events));
+      ("msgs", J.Num (float_of_int d.Db_shard.r_msgs));
+      ("prepares", J.Num (float_of_int d.Db_shard.r_prepares));
+      ("wal_flushes", J.Num (float_of_int d.Db_shard.r_wal_flushes));
+      ("dsm_transfers", J.Num (float_of_int d.Db_shard.r_dsm_transfers));
+      ("lock_timeouts", J.Num (float_of_int d.Db_shard.r_lock_timeouts));
+      ("frames", J.Num (float_of_int d.Db_shard.r_frames));
+      ("conserved", J.Bool d.Db_shard.r_conserved);
+    ]
+
+let leg_json l =
+  J.Obj
+    [
+      ("shards", J.Num (float_of_int l.g_shards));
+      ("txns", J.Num (float_of_int l.g_txns));
+      ("commits", J.Num (float_of_int l.g_commits));
+      ("aborts", J.Num (float_of_int l.g_aborts));
+      ("abort_rate", J.Num l.g_abort_rate);
+      ("local", J.Num (float_of_int l.g_local));
+      ("cross", J.Num (float_of_int l.g_cross));
+      ("msgs", J.Num (float_of_int l.g_msgs));
+      ("prepares", J.Num (float_of_int l.g_prepares));
+      ("dsm_transfers", J.Num (float_of_int l.g_transfers));
+      ("lock_timeouts", J.Num (float_of_int l.g_timeouts));
+      ("tps", J.Num l.g_tps);
+      ("p50_ms", J.Num l.g_p50_ms);
+      ("p99_ms", J.Num l.g_p99_ms);
+      ("sim_s", J.Num l.g_sim_s);
+      ("conserved", J.Bool l.g_conserved);
+      ("wall_s", J.Num l.g_wall_s);
+      ("per_shard", J.List (List.map shard_json l.g_detail));
+    ]
+
+let body r =
+  [
+    ("mode", J.Str r.mode);
+    ("jobs", J.Num (float_of_int r.jobs));
+    ("total_txns", J.Num (float_of_int r.total_txns));
+    ("cross_fraction", J.Num r.cross_fraction);
+    ("legs", J.List (List.map leg_json r.legs));
+    ("replay_identical", J.Bool r.replay_identical);
+  ]
+
+let emit r = R.emit schema (body r)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -174,7 +245,7 @@ let render r =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     (Printf.sprintf "Shard: parallel DBMS shards with two-phase commit (%s record, %s mode)\n"
-       schema_version r.mode);
+       schema.R.tag r.mode);
   Buffer.add_string buf
     (Printf.sprintf
        "%d transactions per leg, %.0f%% cross-shard, %d worker(s) x %d CPU(s) per shard, \
@@ -232,156 +303,5 @@ let render r =
               ])
             widest.g_detail));
   Buffer.add_string buf "\nShape checks:\n";
-  Buffer.add_string buf (Exp_report.render_checks r.checks);
+  Buffer.add_string buf (Exp_report.render_checks (emit r).R.checks);
   Buffer.contents buf
-
-let shard_json (d : Db_shard.result) =
-  J.Obj
-    [
-      ("shard", J.Num (float_of_int d.Db_shard.r_shard));
-      ("txns", J.Num (float_of_int d.Db_shard.r_txns));
-      ("commits", J.Num (float_of_int d.Db_shard.r_commits));
-      ("aborts", J.Num (float_of_int d.Db_shard.r_aborts));
-      ("local", J.Num (float_of_int d.Db_shard.r_local));
-      ("cross", J.Num (float_of_int d.Db_shard.r_cross));
-      ("p50_ms", J.Num d.Db_shard.r_p50_ms);
-      ("p99_ms", J.Num d.Db_shard.r_p99_ms);
-      ("tps", J.Num d.Db_shard.r_tps);
-      ("sim_us", J.Num d.Db_shard.r_sim_us);
-      ("events", J.Num (float_of_int d.Db_shard.r_events));
-      ("msgs", J.Num (float_of_int d.Db_shard.r_msgs));
-      ("prepares", J.Num (float_of_int d.Db_shard.r_prepares));
-      ("wal_flushes", J.Num (float_of_int d.Db_shard.r_wal_flushes));
-      ("dsm_transfers", J.Num (float_of_int d.Db_shard.r_dsm_transfers));
-      ("lock_timeouts", J.Num (float_of_int d.Db_shard.r_lock_timeouts));
-      ("frames", J.Num (float_of_int d.Db_shard.r_frames));
-      ("conserved", J.Bool d.Db_shard.r_conserved);
-    ]
-
-let leg_json l =
-  J.Obj
-    [
-      ("shards", J.Num (float_of_int l.g_shards));
-      ("txns", J.Num (float_of_int l.g_txns));
-      ("commits", J.Num (float_of_int l.g_commits));
-      ("aborts", J.Num (float_of_int l.g_aborts));
-      ("abort_rate", J.Num l.g_abort_rate);
-      ("local", J.Num (float_of_int l.g_local));
-      ("cross", J.Num (float_of_int l.g_cross));
-      ("msgs", J.Num (float_of_int l.g_msgs));
-      ("prepares", J.Num (float_of_int l.g_prepares));
-      ("dsm_transfers", J.Num (float_of_int l.g_transfers));
-      ("lock_timeouts", J.Num (float_of_int l.g_timeouts));
-      ("tps", J.Num l.g_tps);
-      ("p50_ms", J.Num l.g_p50_ms);
-      ("p99_ms", J.Num l.g_p99_ms);
-      ("sim_s", J.Num l.g_sim_s);
-      ("conserved", J.Bool l.g_conserved);
-      ("wall_s", J.Num l.g_wall_s);
-      ("per_shard", J.List (List.map shard_json l.g_detail));
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ("jobs", J.Num (float_of_int r.jobs));
-      ("total_txns", J.Num (float_of_int r.total_txns));
-      ("cross_fraction", J.Num r.cross_fraction);
-      ("legs", J.List (List.map leg_json r.legs));
-      ("replay_identical", J.Bool r.replay_identical);
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* total =
-    require "total_txns" (Option.bind (J.member "total_txns" json) J.to_float)
-  in
-  let* () = if total > 0.0 then Ok () else Error "no transactions in the record" in
-  let* legs = require "legs" (Option.bind (J.member "legs" json) J.to_list) in
-  let* () = if List.length legs >= 2 then Ok () else Error "expected at least two legs" in
-  let leg_field what leg get = require ("leg " ^ what) (Option.bind (J.member what leg) get) in
-  let* parsed =
-    List.fold_left
-      (fun acc leg ->
-        let* acc = acc in
-        let* shards = leg_field "shards" leg J.to_float in
-        let* txns = leg_field "txns" leg J.to_float in
-        let* commits = leg_field "commits" leg J.to_float in
-        let* aborts = leg_field "aborts" leg J.to_float in
-        let* abort_rate = leg_field "abort_rate" leg J.to_float in
-        let* msgs = leg_field "msgs" leg J.to_float in
-        let* transfers = leg_field "dsm_transfers" leg J.to_float in
-        let* tps = leg_field "tps" leg J.to_float in
-        let* conserved = leg_field "conserved" leg J.to_bool in
-        let name = Printf.sprintf "%.0f-shard leg" shards in
-        if not conserved then Error (name ^ ": frame conservation failed")
-        else if txns <> total then Error (name ^ ": transaction count drifted from total_txns")
-        else if commits +. aborts <> txns then
-          Error (name ^ ": commits + aborts <> transactions")
-        else if abort_rate < 0.0 || abort_rate >= abort_rate_bound then
-          Error (name ^ ": abort rate out of bounds")
-        else if tps <= 0.0 then Error (name ^ ": no throughput recorded")
-        else Ok ((shards, msgs, transfers, tps) :: acc))
-      (Ok []) legs
-  in
-  let parsed = List.rev parsed in
-  let* () =
-    match List.find_opt (fun (s, _, _, _) -> s = 1.0) parsed with
-    | None -> Error "missing the single-shard baseline leg"
-    | Some (_, msgs, transfers, _) ->
-        if msgs = 0.0 && transfers = 0.0 then Ok ()
-        else Error "single-shard leg did 2PC or DSM work (zero-delta broken)"
-  in
-  let* () =
-    if
-      List.for_all
-        (fun (s, msgs, _, _) -> s = 1.0 || msgs > 0.0)
-        parsed
-    then Ok ()
-    else Error "a multi-shard leg exchanged no 2PC messages"
-  in
-  let rec tps_increasing = function
-    | (_, _, _, a) :: ((_, _, _, b) :: _ as rest) ->
-        if a < b then tps_increasing rest
-        else Error "aggregate TPS not strictly increasing with shard count"
-    | _ -> Ok ()
-  in
-  let* () = tps_increasing parsed in
-  let* replay =
-    require "replay_identical" (Option.bind (J.member "replay_identical" json) J.to_bool)
-  in
-  let* () = if replay then Ok () else Error "multi-shard leg was not deterministic per seed" in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks

@@ -8,7 +8,8 @@
     machine, so the joined record is byte-identical to a sequential
     run), then re-runs the 4-shard leg and pins the replay identical.
 
-    Embedded checks gate the exit status of `vpp_repro shard` and the
+    The record's {!Exp_record} checks gate the exit status of
+    `vpp_repro shard` and, re-derived by `vpp_repro validate`, the
     [@shard-smoke] CI alias: aggregate TPS strictly increasing with
     shard count (the 4-shard leg must beat the single shard on the same
     total work), bounded abort rate, per-shard frame conservation,
@@ -18,7 +19,7 @@
     Deterministic fields reproduce exactly across hosts; only the
     [wall_s] fields vary. *)
 
-val schema_version : string
+val schema : Exp_record.schema
 (** ["vpp-shard/1"]. Bump when the record layout changes. *)
 
 type leg = {
@@ -53,7 +54,6 @@ type result = {
   replay_identical : bool;
       (** The re-run 4-shard leg matched field for field (wall
           excluded). *)
-  checks : Exp_report.check list;
 }
 
 val run : ?quick:bool -> ?jobs:int -> unit -> result
@@ -62,16 +62,5 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     that many domains — deterministic fields are byte-identical to a
     sequential run. *)
 
+val emit : result -> Exp_record.t
 val render : result -> string
-val to_json : result -> Sim_json.t
-
-val render_json : result -> string
-(** [to_json] printed stably (two-space indent, trailing newline). *)
-
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Structural check used by [@shard-smoke] and `vpp_repro validate`:
-    version tag, at least two legs with exact commit/abort accounting,
-    conservation and bounded abort rate, the single-shard leg free of
-    2PC/DSM work, multi-shard legs exchanging messages, strictly
-    increasing aggregate TPS, replay identity, and every embedded check
-    passing. *)

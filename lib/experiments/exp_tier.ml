@@ -23,6 +23,7 @@
    are bit-identical, which the embedded checks rely on. *)
 
 module J = Sim_json
+module R = Exp_record
 module K = Epcm_kernel
 module Seg = Epcm_segment
 module Mgr = Epcm_manager
@@ -30,7 +31,6 @@ module Flags = Epcm_flags
 module T = Mgr_tiered
 module Engine = Sim_engine
 
-let schema_version = "vpp-tier/1"
 let page_size = 4096
 
 type leg = {
@@ -60,7 +60,7 @@ type run_row = {
   w_managed : leg;
 }
 
-type result = { mode : string; runs : run_row list; checks : Exp_report.check list }
+type result = { mode : string; runs : run_row list }
 
 (* A workload is a machine shape plus a deterministic touch trace over
    one segment. *)
@@ -69,7 +69,6 @@ type workload = {
   wk_fast_frames : int;
   wk_slow_frames : int;
   wk_pages : int;
-  wk_expect_compressed : bool;
   wk_trace : K.t -> Seg.id -> unit;
 }
 
@@ -105,7 +104,6 @@ let scale_workload ~rounds =
     wk_fast_frames = 256;
     wk_slow_frames = 768;
     wk_pages = 384;
-    wk_expect_compressed = false;
     wk_trace = scale_trace ~cold:288 ~hot:96 ~rounds;
   }
 
@@ -141,7 +139,6 @@ let btree_workload ~rounds =
        must push its coldest pages down into the compressed store. *)
     wk_slow_frames = 198;
     wk_pages = 384;
-    wk_expect_compressed = true;
     wk_trace = btree_trace ~pages:384 ~rounds;
   }
 
@@ -275,44 +272,68 @@ let run_workloads ~jobs wks =
 (* The record                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let checks_of ~expect_compressed r =
-  let n = r.w_name in
+(* Only the btree machine is short enough of frames to force the managed
+   leg into the compressed store (see [btree_workload]). *)
+let expects_compressed name = name = "btree"
+
+let run_checks run =
+  let n = R.str "name" run in
+  let flat = R.obj "flat" run and static = R.obj "static" run and managed = R.obj "managed" run in
+  let sim_us = R.num "sim_us" in
   [
     Exp_report.check
       ~what:(Printf.sprintf "%s: per-tier frame conservation held in all legs" n)
-      ~pass:(r.w_flat.g_conserved && r.w_static.g_conserved && r.w_managed.g_conserved)
-      ~detail:(Printf.sprintf "%d frames" r.w_static.g_frames);
+      ~pass:(R.bool "conserved" flat && R.bool "conserved" static && R.bool "conserved" managed)
+      ~detail:(Printf.sprintf "%d frames" (R.int "frames" static));
     Exp_report.check
       ~what:(Printf.sprintf "%s: flat and static legs ran the identical trace" n)
       ~pass:
-        (r.w_flat.g_touches = r.w_static.g_touches && r.w_flat.g_faults = r.w_static.g_faults)
+        (R.int "touches" flat = R.int "touches" static
+        && R.int "faults" flat = R.int "faults" static)
       ~detail:
-        (Printf.sprintf "%d touches, %d faults" r.w_static.g_touches r.w_static.g_faults);
+        (Printf.sprintf "%d touches, %d faults" (R.int "touches" static) (R.int "faults" static));
     Exp_report.check
       ~what:(Printf.sprintf "%s: tier surcharges are measurable (static > flat)" n)
-      ~pass:(r.w_static.g_sim_us > r.w_flat.g_sim_us)
+      ~pass:(sim_us static > sim_us flat)
       ~detail:
         (Printf.sprintf "+%.0f us (%.0f vs %.0f)"
-           (r.w_static.g_sim_us -. r.w_flat.g_sim_us)
-           r.w_static.g_sim_us r.w_flat.g_sim_us);
+           (sim_us static -. sim_us flat)
+           (sim_us static) (sim_us flat));
     Exp_report.check
       ~what:(Printf.sprintf "%s: managed placement beats static (managed < static)" n)
-      ~pass:(r.w_managed.g_sim_us < r.w_static.g_sim_us)
+      ~pass:(sim_us managed < sim_us static)
       ~detail:
-        (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" r.w_managed.g_sim_us
-           r.w_static.g_sim_us
-           (r.w_static.g_sim_us -. r.w_managed.g_sim_us));
+        (Printf.sprintf "%.0f vs %.0f us (saves %.0f)" (sim_us managed) (sim_us static)
+           (sim_us static -. sim_us managed));
     Exp_report.check
       ~what:(Printf.sprintf "%s: manager exercised promotion and demotion" n)
       ~pass:
-        (r.w_managed.g_promotions > 0
-        && r.w_managed.g_demotions_slow > 0
-        && ((not expect_compressed) || r.w_managed.g_demotions_compressed > 0))
+        (R.int "promotions" managed > 0
+        && R.int "demotions_slow" managed > 0
+        && ((not (expects_compressed n)) || R.int "demotions_compressed" managed > 0))
       ~detail:
         (Printf.sprintf "%d promoted, %d demoted, %d compressed, %d refetched"
-           r.w_managed.g_promotions r.w_managed.g_demotions_slow
-           r.w_managed.g_demotions_compressed r.w_managed.g_refetches);
+           (R.int "promotions" managed) (R.int "demotions_slow" managed)
+           (R.int "demotions_compressed" managed) (R.int "refetches" managed));
   ]
+
+let shape body =
+  ignore (R.str "mode" body);
+  let runs = R.list "runs" body in
+  R.require (runs <> []) "expected at least one run";
+  List.iter
+    (fun run ->
+      List.iter
+        (fun mode -> R.require (R.num "sim_us" (R.obj mode run) > 0.0) (mode ^ ": empty leg"))
+        [ "flat"; "static"; "managed" ])
+    runs
+
+let schema =
+  {
+    R.tag = "vpp-tier/1";
+    shape;
+    checks = (fun body -> List.concat_map run_checks (R.list "runs" body));
+  }
 
 let run ?(quick = false) ?(jobs = 1) () =
   let rounds = 1500 in
@@ -320,13 +341,48 @@ let run ?(quick = false) ?(jobs = 1) () =
     if quick then [ scale_workload ~rounds ]
     else [ scale_workload ~rounds; btree_workload ~rounds:1200 ]
   in
-  let runs = run_workloads ~jobs workloads in
-  let checks =
-    List.concat_map
-      (fun (wk, r) -> checks_of ~expect_compressed:wk.wk_expect_compressed r)
-      (List.combine workloads runs)
-  in
-  { mode = (if quick then "quick" else "full"); runs; checks }
+  { mode = (if quick then "quick" else "full"); runs = run_workloads ~jobs workloads }
+
+let leg_json g =
+  J.Obj
+    [
+      ("mode", J.Str g.g_mode);
+      ("frames", J.Num (float_of_int g.g_frames));
+      ("touches", J.Num (float_of_int g.g_touches));
+      ("faults", J.Num (float_of_int g.g_faults));
+      ("migrate_calls", J.Num (float_of_int g.g_migrate_calls));
+      ("migrated_pages", J.Num (float_of_int g.g_migrated_pages));
+      ("events", J.Num (float_of_int g.g_events));
+      ("sim_us", J.Num g.g_sim_us);
+      ("resident_by_tier", J.List (List.map (fun n -> J.Num (float_of_int n)) g.g_resident_by_tier));
+      ("promotions", J.Num (float_of_int g.g_promotions));
+      ("demotions_slow", J.Num (float_of_int g.g_demotions_slow));
+      ("demotions_compressed", J.Num (float_of_int g.g_demotions_compressed));
+      ("refetches", J.Num (float_of_int g.g_refetches));
+      ("conserved", J.Bool g.g_conserved);
+    ]
+
+let body r =
+  [
+    ("mode", J.Str r.mode);
+    ( "runs",
+      J.List
+        (List.map
+           (fun row ->
+             J.Obj
+               [
+                 ("name", J.Str row.w_name);
+                 ("fast_frames", J.Num (float_of_int row.w_fast_frames));
+                 ("slow_frames", J.Num (float_of_int row.w_slow_frames));
+                 ("pages", J.Num (float_of_int row.w_pages));
+                 ("flat", leg_json row.w_flat);
+                 ("static", leg_json row.w_static);
+                 ("managed", leg_json row.w_managed);
+               ])
+           r.runs) );
+  ]
+
+let emit r = R.emit schema (body r)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -335,7 +391,7 @@ let run ?(quick = false) ?(jobs = 1) () =
 let render r =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
-    (Printf.sprintf "Tier: single-tier vs tiered placement (%s record, %s mode)\n" schema_version
+    (Printf.sprintf "Tier: single-tier vs tiered placement (%s record, %s mode)\n" schema.R.tag
        r.mode);
   List.iter
     (fun row ->
@@ -365,106 +421,5 @@ let render r =
                 [ row.w_flat; row.w_static; row.w_managed ])))
     r.runs;
   Buffer.add_string buf "\nShape checks:\n";
-  Buffer.add_string buf (Exp_report.render_checks r.checks);
+  Buffer.add_string buf (Exp_report.render_checks (emit r).R.checks);
   Buffer.contents buf
-
-let leg_json g =
-  J.Obj
-    [
-      ("mode", J.Str g.g_mode);
-      ("frames", J.Num (float_of_int g.g_frames));
-      ("touches", J.Num (float_of_int g.g_touches));
-      ("faults", J.Num (float_of_int g.g_faults));
-      ("migrate_calls", J.Num (float_of_int g.g_migrate_calls));
-      ("migrated_pages", J.Num (float_of_int g.g_migrated_pages));
-      ("events", J.Num (float_of_int g.g_events));
-      ("sim_us", J.Num g.g_sim_us);
-      ("resident_by_tier", J.List (List.map (fun n -> J.Num (float_of_int n)) g.g_resident_by_tier));
-      ("promotions", J.Num (float_of_int g.g_promotions));
-      ("demotions_slow", J.Num (float_of_int g.g_demotions_slow));
-      ("demotions_compressed", J.Num (float_of_int g.g_demotions_compressed));
-      ("refetches", J.Num (float_of_int g.g_refetches));
-      ("conserved", J.Bool g.g_conserved);
-    ]
-
-let to_json r =
-  J.Obj
-    [
-      ("schema", J.Str schema_version);
-      ("mode", J.Str r.mode);
-      ( "runs",
-        J.List
-          (List.map
-             (fun row ->
-               J.Obj
-                 [
-                   ("name", J.Str row.w_name);
-                   ("fast_frames", J.Num (float_of_int row.w_fast_frames));
-                   ("slow_frames", J.Num (float_of_int row.w_slow_frames));
-                   ("pages", J.Num (float_of_int row.w_pages));
-                   ("flat", leg_json row.w_flat);
-                   ("static", leg_json row.w_static);
-                   ("managed", leg_json row.w_managed);
-                 ])
-             r.runs) );
-      ( "checks",
-        J.List
-          (List.map
-             (fun (c : Exp_report.check) ->
-               J.Obj
-                 [
-                   ("what", J.Str c.Exp_report.what);
-                   ("pass", J.Bool c.Exp_report.pass);
-                   ("detail", J.Str c.Exp_report.detail);
-                 ])
-             r.checks) );
-    ]
-
-let render_json r = J.to_string ~indent:true (to_json r) ^ "\n"
-
-(* ------------------------------------------------------------------ *)
-(* Schema validation                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let validate_json json =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let require what = function Some v -> Ok v | None -> Error ("missing or ill-typed " ^ what) in
-  let* schema = require "schema" (Option.bind (J.member "schema" json) J.to_str) in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
-  let* _mode = require "mode" (Option.bind (J.member "mode" json) J.to_str) in
-  let* runs = require "runs" (Option.bind (J.member "runs" json) J.to_list) in
-  let* () = if runs <> [] then Ok () else Error "expected at least one run" in
-  let leg_of what run =
-    let* leg = require what (J.member what run) in
-    let* sim_us = require (what ^ " sim_us") (Option.bind (J.member "sim_us" leg) J.to_float) in
-    let* conserved =
-      require (what ^ " conserved") (Option.bind (J.member "conserved" leg) J.to_bool)
-    in
-    if not conserved then Error (what ^ ": per-tier frame conservation failed")
-    else if sim_us <= 0.0 then Error (what ^ ": empty leg")
-    else Ok sim_us
-  in
-  let* () =
-    List.fold_left
-      (fun acc run ->
-        let* () = acc in
-        let* name = require "run name" (Option.bind (J.member "name" run) J.to_str) in
-        let* flat = leg_of "flat" run in
-        let* static_ = leg_of "static" run in
-        let* managed = leg_of "managed" run in
-        if static_ <= flat then Error (name ^ ": tier surcharge not measurable")
-        else if managed >= static_ then Error (name ^ ": managed placement did not beat static")
-        else Ok ())
-      (Ok ()) runs
-  in
-  let* checks = require "checks" (Option.bind (J.member "checks" json) J.to_list) in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* what = require "check what" (Option.bind (J.member "what" c) J.to_str) in
-      let* pass = require "check pass" (Option.bind (J.member "pass" c) J.to_bool) in
-      if pass then Ok () else Error ("failed check: " ^ what))
-    (Ok ()) checks

@@ -13,11 +13,12 @@
       slow tier into the compressed store, protection-fault sampling
       promotes hot pages back up.
 
-    The embedded checks (and {!validate_json}) gate on: per-tier frame
-    conservation in every leg (incremental audit == full scan), the flat
-    and static legs running the identical trace, a measurable tier
-    surcharge (static > flat), and managed placement beating static on
-    simulated time. Everything is simulated and seeded — reruns are
+    The record's {!Exp_record} checks, embedded at emit and re-derived by
+    [vpp_repro validate], gate on: per-tier frame conservation in every
+    leg (incremental audit == full scan), the flat and static legs
+    running the identical trace, a measurable tier surcharge (static >
+    flat), managed placement beating static on simulated time, and the
+    manager exercising promotion and demotion. Everything is simulated and seeded — reruns are
     bit-identical. *)
 
 type leg = {
@@ -47,9 +48,9 @@ type run_row = {
   w_managed : leg;
 }
 
-type result = { mode : string; runs : run_row list; checks : Exp_report.check list }
+type result = { mode : string; runs : run_row list }
 
-val schema_version : string
+val schema : Exp_record.schema
 (** ["vpp-tier/1"]. *)
 
 val run : ?quick:bool -> ?jobs:int -> unit -> result
@@ -59,9 +60,5 @@ val run : ?quick:bool -> ?jobs:int -> unit -> result
     in-order join keeps the record byte-identical to a sequential
     run. *)
 
+val emit : result -> Exp_record.t
 val render : result -> string
-val to_json : result -> Sim_json.t
-val render_json : result -> string
-
-val validate_json : Sim_json.t -> (unit, string) Stdlib.result
-(** Schema + semantic gate for a [vpp-tier/1] record; see above. *)

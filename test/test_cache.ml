@@ -55,7 +55,8 @@ let test_profile_attribution_cacheless () =
         false
         (List.exists (fun (path, _, _) -> path = "kernel/cache_miss") row.Exp_profile.p_spans))
     r.Exp_profile.rows;
-  check_bool "profile checks all pass" true (Exp_report.all_pass r.Exp_profile.checks)
+  check_bool "profile checks all pass" true
+    (Exp_report.all_pass (Exp_profile.emit r).Exp_record.checks)
 
 let test_cacheless_machine_has_no_cache () =
   let machine = Machine.create ~page_size ~memory_bytes:(64 * page_size) () in
@@ -166,12 +167,13 @@ let test_cold_cache_charges_misses () =
 let test_record_replays () =
   let a = Exp_cache.run ~quick:true () in
   let b = Exp_cache.run ~quick:true () in
-  check_string "vpp-cache/1 record replays byte-identically" (Exp_cache.render_json a)
-    (Exp_cache.render_json b);
-  check_bool "all embedded checks pass" true (Exp_report.all_pass a.Exp_cache.checks);
+  let record = Exp_cache.emit a in
+  check_string "vpp-cache/1 record replays byte-identically" (Exp_record.to_string record)
+    (Exp_record.to_string (Exp_cache.emit b));
+  check_bool "all embedded checks pass" true (Exp_report.all_pass record.Exp_record.checks);
   check_bool "replay flag (random + colored legs seed-for-seed)" true a.Exp_cache.replay_identical;
-  match Exp_validate.validate (Exp_cache.to_json a) with
-  | Ok tag -> check_string "validates under the dispatcher" Exp_cache.schema_version tag
+  match Exp_validate.validate record.Exp_record.json with
+  | Ok tag -> check_string "validates under the dispatcher" Exp_cache.schema.Exp_record.tag tag
   | Error e -> Alcotest.fail ("vpp-cache/1 record failed validation: " ^ e)
 
 let () =

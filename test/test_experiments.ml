@@ -93,41 +93,52 @@ let test_par_reraises () =
     [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
-(* Exp_scale: the vpp-perf/1 record                                   *)
+(* Exp_scale: the vpp-perf/2 record                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One quick record shared by the validation cases below: the run itself
-   (two machine sizes plus the timed driver legs) costs a few seconds. *)
+(* One quick record per schema, shared by the cases below: each run costs
+   up to a few seconds. *)
 let quick_record = lazy (Exp_scale.run ~quick:true ~jobs:2 ())
+
+let quick_records =
+  lazy
+    [
+      (Exp_scale.schema, Exp_scale.emit (Lazy.force quick_record));
+      (Exp_market.schema, Exp_market.emit (Exp_market.run ~quick:true ()));
+      (Exp_profile.schema, Exp_profile.emit (Exp_profile.run ()));
+      (Exp_tier.schema, Exp_tier.emit (Exp_tier.run ~quick:true ()));
+      (Exp_cache.schema, Exp_cache.emit (Exp_cache.run ~quick:true ()));
+      (Exp_shard.schema, Exp_shard.emit (Exp_shard.run ~quick:true ~jobs:2 ()));
+    ]
+
+let quick_json schema =
+  (List.assq schema (Lazy.force quick_records)).Exp_record.json
 
 let test_perf_record_quick () =
   let r = Lazy.force quick_record in
-  assert_all_pass r.Exp_scale.checks;
+  let record = Exp_scale.emit r in
+  assert_all_pass record.Exp_record.checks;
   check_bool "parallel driver output identical" true r.Exp_scale.driver.Exp_scale.d_identical;
   (* The record validates both as the in-memory tree and after a print →
-     parse round-trip, which is what perf-validate consumes. *)
-  (match Exp_scale.validate_json (Exp_scale.to_json r) with
-  | Ok () -> ()
+     parse round-trip, which is what `vpp_repro validate` consumes. *)
+  (match Exp_validate.validate record.Exp_record.json with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("in-memory record invalid: " ^ e));
-  match Sim_json.parse (Exp_scale.render_json r) with
-  | Error e -> Alcotest.fail ("rendered record does not parse: " ^ e)
-  | Ok json -> (
-      match Exp_scale.validate_json json with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e))
+  match Exp_validate.validate_string (Exp_record.to_string record) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e)
 
 (* The validator must reject, not mis-accept, the failure modes a perf
    regression would actually produce. *)
 let test_perf_record_validator_rejects () =
   let reject what json =
-    match Exp_scale.validate_json json with
-    | Ok () -> Alcotest.fail ("validator accepted " ^ what)
+    match Exp_validate.validate json with
+    | Ok _ -> Alcotest.fail ("validator accepted " ^ what)
     | Error _ -> ()
   in
   let parse s = match Sim_json.parse s with Ok j -> j | Error e -> Alcotest.fail e in
   reject "wrong schema" (parse {|{"schema": "vpp-perf/0"}|});
-  reject "missing scales" (parse {|{"schema": "vpp-perf/1", "mode": "full"}|});
-  let r = Lazy.force quick_record in
+  reject "missing scales" (parse {|{"schema": "vpp-perf/2", "mode": "full"}|});
   let drop_first_scale = function
     | Sim_json.Obj fields ->
         Sim_json.Obj
@@ -138,7 +149,7 @@ let test_perf_record_validator_rejects () =
              fields)
     | j -> j
   in
-  reject "a single remaining scale" (drop_first_scale (Exp_scale.to_json r))
+  reject "a single remaining scale" (drop_first_scale (quick_json Exp_scale.schema))
 
 (* ------------------------------------------------------------------ *)
 (* Exp_validate: the unified schema dispatcher                         *)
@@ -151,59 +162,76 @@ let contains ~needle hay =
 
 let test_validate_known_schemas () =
   List.iter
-    (fun tag ->
+    (fun schema ->
+      let tag = schema.Exp_record.tag in
       check_bool (tag ^ " is a known schema") true (List.mem tag Exp_validate.known_schemas))
     [
-      Exp_scale.schema_version;
-      Exp_scale.schema_version_v1;
-      Exp_market.schema_version;
-      Exp_profile.schema_version;
-      Exp_tier.schema_version;
-      Exp_cache.schema_version;
-      Exp_shard.schema_version;
+      Exp_scale.schema;
+      Exp_market.schema;
+      Exp_profile.schema;
+      Exp_tier.schema;
+      Exp_cache.schema;
+      Exp_shard.schema;
     ];
-  Alcotest.(check int) "exactly the seven known schemas" 7
+  Alcotest.(check int) "exactly the six known schemas" 6
     (List.length Exp_validate.known_schemas)
 
-(* No command emits vpp-perf/1 anymore; the legacy validator is kept for
-   records written by older builds, so the coverage here is a
-   hand-crafted minimal record of that vintage. *)
-let legacy_perf_v1 =
-  {|{"schema": "vpp-perf/1", "mode": "quick",
-     "scales": [
-       {"name": "8mb", "conserved": true, "events": 70000, "faults": 1344, "wall_s": 0.1},
-       {"name": "512mb", "conserved": true, "events": 4000000, "faults": 86016, "wall_s": 1.5}],
-     "driver": {"parallel_identical": true, "jobs": 2},
-     "checks": [{"what": "per-size conservation", "pass": true}]}|}
-
 (* Every schema the dispatcher knows, dispatched both from the in-memory
-   tree and through the string (parse) entry point. The run-based records
-   come from the quick experiment configurations; the legacy vpp-perf/1
-   from the hand-crafted record above. *)
+   tree and through the string (parse) entry point, from the quick
+   experiment configurations. *)
 let test_validate_dispatches_all_schemas () =
-  let records =
-    [
-      (Exp_scale.schema_version, Exp_scale.render_json (Lazy.force quick_record));
-      (Exp_scale.schema_version_v1, legacy_perf_v1);
-      (Exp_market.schema_version, Exp_market.render_json (Exp_market.run ~quick:true ()));
-      (Exp_profile.schema_version, Exp_profile.render_json (Exp_profile.run ()));
-      (Exp_tier.schema_version, Exp_tier.render_json (Exp_tier.run ~quick:true ()));
-      (Exp_cache.schema_version, Exp_cache.render_json (Exp_cache.run ~quick:true ()));
-      (Exp_shard.schema_version, Exp_shard.render_json (Exp_shard.run ~quick:true ~jobs:2 ()));
-    ]
-  in
   List.iter
-    (fun (expect, record) ->
-      (match Exp_validate.validate_string record with
-      | Ok tag -> Alcotest.(check string) (expect ^ ": dispatched to its validator") expect tag
+    (fun (schema, record) ->
+      let expect = schema.Exp_record.tag in
+      (match Exp_validate.validate_string (Exp_record.to_string record) with
+      | Ok tag -> Alcotest.(check string) (expect ^ ": dispatched to its schema") expect tag
       | Error e -> Alcotest.fail (expect ^ ": " ^ e));
-      match Sim_json.parse record with
-      | Error e -> Alcotest.fail (expect ^ ": record does not parse: " ^ e)
+      match Exp_validate.validate record.Exp_record.json with
+      | Ok tag -> Alcotest.(check string) (expect ^ ": tree dispatch") expect tag
+      | Error e -> Alcotest.fail (expect ^ ": " ^ e))
+    (Lazy.force quick_records)
+
+(* The checks a command prints are the checks validation re-derives from
+   the written file: same what, same verdict, same order. *)
+let test_validate_rederives_emitted_checks () =
+  let summary checks = List.map (fun c -> (c.Exp_report.what, c.Exp_report.pass)) checks in
+  List.iter
+    (fun (schema, record) ->
+      let tag = schema.Exp_record.tag in
+      match Sim_json.parse (Exp_record.to_string record) with
+      | Error e -> Alcotest.fail (tag ^ ": record does not parse: " ^ e)
       | Ok json -> (
-          match Exp_validate.validate json with
-          | Ok tag -> Alcotest.(check string) (expect ^ ": tree dispatch") expect tag
-          | Error e -> Alcotest.fail (expect ^ ": " ^ e)))
-    records
+          match Exp_record.derive schema json with
+          | Error e -> Alcotest.fail (tag ^ ": " ^ e)
+          | Ok checks ->
+              Alcotest.(check (list (pair string bool)))
+                (tag ^ ": re-derived checks = emitted checks")
+                (summary record.Exp_record.checks) (summary checks)))
+    (Lazy.force quick_records)
+
+(* [doctor ~where ~key f json] rewrites member [key] with [f] in every
+   object of [json] (at any depth) whose fields satisfy [where]. The
+   record's "checks" array is left alone, so it still claims a pass. *)
+let rec doctor ~where ~key f = function
+  | Sim_json.Obj fields ->
+      let fields = List.map (fun (k, v) -> (k, doctor ~where ~key f v)) fields in
+      Sim_json.Obj
+        (if where fields then List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields
+         else fields)
+  | Sim_json.List items -> Sim_json.List (List.map (doctor ~where ~key f) items)
+  | j -> j
+
+let has key value fields = List.assoc_opt key fields = Some value
+let set v _ = v
+let add d = function Sim_json.Num v -> Sim_json.Num (v +. d) | j -> j
+
+let reject_doctored what ~expect json =
+  match Exp_validate.validate json with
+  | Ok tag -> Alcotest.fail ("dispatcher accepted " ^ what ^ " as " ^ tag)
+  | Error e ->
+      check_bool
+        (Printf.sprintf "%s rejected for the right reason (got %S)" what e)
+        true (contains ~needle:expect e)
 
 let test_validate_rejects () =
   let reject what ~expect input =
@@ -218,93 +246,83 @@ let test_validate_rejects () =
   reject "a record with no schema tag" ~expect:"no \"schema\" tag" {|{"mode": "quick"}|};
   (* Both error paths must name the known schemas so the caller can see
      what the build actually supports. *)
-  reject "a record with no schema tag" ~expect:Exp_cache.schema_version {|{"mode": "quick"}|};
+  reject "a record with no schema tag" ~expect:Exp_cache.schema.Exp_record.tag
+    {|{"mode": "quick"}|};
   reject "an unknown schema" ~expect:"unknown schema" {|{"schema": "vpp-frobnicate/9"}|};
-  reject "an unknown schema" ~expect:Exp_tier.schema_version {|{"schema": "vpp-frobnicate/9"}|};
-  (* Known schema, malformed body: the dispatcher reaches the schema's own
-     validator and prefixes its complaint with the tag. *)
+  reject "an unknown schema" ~expect:Exp_tier.schema.Exp_record.tag
+    {|{"schema": "vpp-frobnicate/9"}|};
+  (* Nothing emits the pre-superpage layout any more. *)
+  reject "a vpp-perf/1 record" ~expect:"unknown schema"
+    {|{"schema": "vpp-perf/1", "mode": "quick", "scales": [], "checks": []}|};
+  (* Known schema, malformed body: the dispatcher reaches the schema and
+     prefixes its complaint with the tag. *)
   reject "an empty vpp-cache/1 record" ~expect:"invalid vpp-cache/1 record"
     {|{"schema": "vpp-cache/1"}|};
   reject "an empty vpp-tier/1 record" ~expect:"invalid vpp-tier/1 record"
     {|{"schema": "vpp-tier/1"}|};
   reject "an empty vpp-shard/1 record" ~expect:"invalid vpp-shard/1 record"
     {|{"schema": "vpp-shard/1"}|};
-  reject "a vpp-perf/1 record with one scale" ~expect:"at least two scales"
-    {|{"schema": "vpp-perf/1", "mode": "quick",
-       "scales": [{"name": "8mb", "conserved": true, "events": 1, "faults": 1, "wall_s": 0}]}|};
-  reject "a vpp-perf/1 record that leaked frames" ~expect:"frame conservation failed"
-    {|{"schema": "vpp-perf/1", "mode": "quick",
-       "scales": [
-         {"name": "8mb", "conserved": false, "events": 1, "faults": 1, "wall_s": 0},
-         {"name": "512mb", "conserved": true, "events": 1, "faults": 1, "wall_s": 0}]}|};
   (* A failing vpp-cache/1 gate: colored not better than random. *)
-  let r = Exp_cache.run ~quick:true () in
-  let doctored =
-    match Exp_cache.to_json r with
-    | Sim_json.Obj fields ->
-        Sim_json.Obj
-          (List.map
-             (function
-               | "legs", Sim_json.List legs ->
-                   ( "legs",
-                     Sim_json.List
-                       (List.map
-                          (function
-                            | Sim_json.Obj leg ->
-                                Sim_json.Obj
-                                  (List.map
-                                     (function
-                                       | "miss_rate", _ -> ("miss_rate", Sim_json.Num 0.5)
-                                       | kv -> kv)
-                                     leg)
-                            | j -> j)
-                          legs) )
-               | kv -> kv)
-             fields)
-    | j -> j
-  in
-  (match Exp_validate.validate doctored with
-  | Ok tag -> Alcotest.fail ("dispatcher accepted a doctored cache record as " ^ tag)
-  | Error e ->
-      check_bool
-        (Printf.sprintf "doctored cache record rejected for the right reason (got %S)" e)
-        true
-        (contains ~needle:"did not beat random" e));
+  reject_doctored "a doctored cache record"
+    ~expect:"failed check: colored placement beats random on miss rate"
+    (doctor
+       ~where:(List.mem_assoc "miss_rate")
+       ~key:"miss_rate" (set (Sim_json.Num 0.5))
+       (quick_json Exp_cache.schema));
   (* A failing vpp-shard/1 gate: the single-shard baseline claiming 2PC
      traffic — the zero-delta discipline broken in the record itself. *)
-  let shard_record = Exp_shard.run ~quick:true () in
-  let doctored_shard =
-    match Exp_shard.to_json shard_record with
-    | Sim_json.Obj fields ->
-        Sim_json.Obj
-          (List.map
-             (function
-               | "legs", Sim_json.List legs ->
-                   ( "legs",
-                     Sim_json.List
-                       (List.map
-                          (function
-                            | Sim_json.Obj leg
-                              when List.assoc_opt "shards" leg = Some (Sim_json.Num 1.0) ->
-                                Sim_json.Obj
-                                  (List.map
-                                     (function
-                                       | "msgs", _ -> ("msgs", Sim_json.Num 8.0)
-                                       | kv -> kv)
-                                     leg)
-                            | j -> j)
-                          legs) )
-               | kv -> kv)
-             fields)
-    | j -> j
+  reject_doctored "a doctored shard record"
+    ~expect:"failed check: single shard is zero-delta"
+    (doctor
+       ~where:(has "shards" (Sim_json.Num 1.0))
+       ~key:"msgs" (set (Sim_json.Num 8.0))
+       (quick_json Exp_shard.schema))
+
+(* One record per schema doctored past a condition only its embedded
+   checks state, with its "checks" array still claiming every pass: the
+   re-derived check rejects it. *)
+let test_validate_rejects_doctored_claims () =
+  let cases =
+    [
+      ( "a perf record whose superpage leg never split a region",
+        Exp_scale.schema,
+        "stream: superpage leg promoted and split regions",
+        doctor ~where:(has "superpages" (Sim_json.Bool true)) ~key:"sp_demotions"
+          (set (Sim_json.Num 0.0)) );
+      ( "a market record with a negative balance",
+        Exp_market.schema,
+        "small: all solvent classes stayed solvent",
+        doctor ~where:(List.mem_assoc "min_balance") ~key:"min_balance"
+          (set (Sim_json.Num (-1.0))) );
+      ( "a profile record whose measured time drifted from the pin",
+        Exp_profile.schema,
+        "vpp_read_4kb measured time equals the pinned identity",
+        doctor ~where:(has "row" (Sim_json.Str "vpp_read_4kb")) ~key:"measured_us" (add 1.0) );
+      ( "a tier record whose manager never promoted",
+        Exp_tier.schema,
+        "scale: manager exercised promotion and demotion",
+        doctor ~where:(has "mode" (Sim_json.Str "managed")) ~key:"promotions"
+          (set (Sim_json.Num 0.0)) );
+      ( "a cache record with a failed coloring audit",
+        Exp_cache.schema,
+        "colored leg is perfectly colored",
+        doctor ~where:(has "mode" (Sim_json.Str "colored")) ~key:"audit_good" (add (-1.0)) );
+      ( "a shard record with local + cross <> txns",
+        Exp_shard.schema,
+        "every transaction accounted",
+        doctor ~where:(has "shards" (Sim_json.Num 4.0)) ~key:"local" (add 1.0) );
+    ]
   in
-  match Exp_validate.validate doctored_shard with
-  | Ok tag -> Alcotest.fail ("dispatcher accepted a doctored shard record as " ^ tag)
-  | Error e ->
-      check_bool
-        (Printf.sprintf "doctored shard record rejected for the right reason (got %S)" e)
-        true
-        (contains ~needle:"zero-delta broken" e)
+  List.iter
+    (fun (what, schema, expect, edit) ->
+      let json = edit (quick_json schema) in
+      check_bool (what ^ ": embedded checks still claim a pass") true
+        (match Sim_json.member "checks" json with
+        | Some (Sim_json.List checks) ->
+            List.for_all (fun c -> Sim_json.member "pass" c = Some (Sim_json.Bool true)) checks
+        | _ -> false);
+      reject_doctored what ~expect:("failed check: " ^ expect) json)
+    cases
 
 let test_renders_nonempty () =
   check_bool "table1 renders" true (String.length (Exp_table1.render (Exp_table1.run ())) > 100);
@@ -341,5 +359,9 @@ let () =
           Alcotest.test_case "knows every schema" `Quick test_validate_known_schemas;
           Alcotest.test_case "dispatches every schema" `Slow test_validate_dispatches_all_schemas;
           Alcotest.test_case "rejects malformed and unknown records" `Quick test_validate_rejects;
+          Alcotest.test_case "re-derives the emitted checks" `Slow
+            test_validate_rederives_emitted_checks;
+          Alcotest.test_case "rejects doctored records claiming a pass" `Slow
+            test_validate_rejects_doctored_claims;
         ] );
     ]

@@ -383,35 +383,37 @@ let test_storm_metrics_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let test_profile_record_schema () =
-  let r = Exp_profile.run () in
-  let j = Exp_profile.to_json r in
-  (match Exp_profile.validate_json j with
-  | Ok () -> ()
+  let record = Exp_profile.emit (Exp_profile.run ()) in
+  let j = record.Exp_record.json in
+  (match Exp_validate.validate j with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("schema validation failed: " ^ e));
   (* The rendered record (what bench/main.exe writes to
      BENCH_observability.json) parses back and still validates. *)
-  match J.parse (Exp_profile.render_json r) with
+  match J.parse (Exp_record.to_string record) with
   | Error e -> Alcotest.fail ("rendered record unparseable: " ^ e)
   | Ok v -> (
       check_string "render/parse/render fixpoint"
         (J.to_string ~indent:true j ^ "\n")
         (J.to_string ~indent:true v ^ "\n");
-      match Exp_profile.validate_json v with
-      | Ok () -> ()
+      match Exp_validate.validate v with
+      | Ok _ -> ()
       | Error e -> Alcotest.fail ("re-parsed record fails validation: " ^ e))
 
 let test_profile_record_stable () =
-  let a = Exp_profile.render_json (Exp_profile.run ()) in
-  let b = Exp_profile.render_json (Exp_profile.run ()) in
+  let render () = Exp_record.to_string (Exp_profile.emit (Exp_profile.run ())) in
+  let a = render () in
+  let b = render () in
   check_string "two runs, byte-identical records" a b;
   check_bool "version string embedded" true
     (match J.parse a with
-    | Ok j -> J.member "schema" j |> Option.map J.to_str = Some (Some Exp_profile.schema_version)
+    | Ok j ->
+        J.member "schema" j |> Option.map J.to_str = Some (Some Exp_profile.schema.Exp_record.tag)
     | Error _ -> false)
 
 let test_profile_validator_rejects_drift () =
   let r = Exp_profile.run () in
-  match Exp_profile.to_json r with
+  match (Exp_profile.emit r).Exp_record.json with
   | J.Obj fields ->
       let tampered =
         J.Obj
@@ -419,9 +421,10 @@ let test_profile_validator_rejects_drift () =
              (fun (k, v) -> if k = "schema" then (k, J.Str "vpp-profile/999") else (k, v))
              fields)
       in
-      check_bool "wrong version rejected" true (Exp_profile.validate_json tampered <> Ok ());
+      check_bool "wrong version rejected" true (Result.is_error (Exp_validate.validate tampered));
       check_bool "missing rows rejected" true
-        (Exp_profile.validate_json (J.Obj (List.remove_assoc "table1_decomposition" fields |> List.map (fun (k, v) -> (k, v)))) <> Ok ())
+        (Result.is_error
+           (Exp_validate.validate (J.Obj (List.remove_assoc "table1_decomposition" fields))))
   | _ -> Alcotest.fail "profile record is not an object"
 
 let () =

@@ -391,24 +391,22 @@ let test_shard_txns_split () =
 
 let test_exp_shard_quick_record () =
   let r = Exp_shard.run ~quick:true ~jobs:2 () in
-  if not (Exp_report.all_pass r.Exp_shard.checks) then
+  let record = Exp_shard.emit r in
+  if not (Exp_report.all_pass record.Exp_record.checks) then
     Alcotest.fail
       (String.concat "; "
          (List.filter_map
             (fun c ->
               if c.Exp_report.pass then None
               else Some (c.Exp_report.what ^ " — " ^ c.Exp_report.detail))
-            r.Exp_shard.checks));
+            record.Exp_record.checks));
   check_bool "replay identical" true r.Exp_shard.replay_identical;
-  (match Exp_shard.validate_json (Exp_shard.to_json r) with
-  | Ok () -> ()
+  (match Exp_validate.validate record.Exp_record.json with
+  | Ok _ -> ()
   | Error e -> Alcotest.fail ("in-memory record invalid: " ^ e));
-  match Sim_json.parse (Exp_shard.render_json r) with
-  | Error e -> Alcotest.fail ("rendered record does not parse: " ^ e)
-  | Ok json -> (
-      match Exp_shard.validate_json json with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e))
+  match Exp_validate.validate_string (Exp_record.to_string record) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("round-tripped record invalid: " ^ e)
 
 let () =
   Alcotest.run "shard"
