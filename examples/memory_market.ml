@@ -76,13 +76,14 @@ let () =
             if Engine.time () < horizon_s *. 1_000_000.0 then begin
               (* Save until the slice is affordable, then buy the working
                  set in one request. *)
-              match
-                Spcm.request spcm ~client ~dst:(Mgr_free_pages.segment (G.pool mgr))
-                  ~dst_page:(Option.value (Mgr_free_pages.grant_slot (G.pool mgr)) ~default:0)
-                  ~count:job_pages ()
-              with
+              let decision = ref Spcm.Deferred in
+              ignore
+                (Mgr_free_pages.refill (G.pool mgr) ~count:job_pages
+                   ~source:(fun ~dst ~dst_page ~count ->
+                     decision := Spcm.request spcm ~client ~dst ~dst_page ~count ();
+                     match !decision with Spcm.Granted n -> n | _ -> 0));
+              match !decision with
               | Spcm.Granted n when n = job_pages ->
-                  Mgr_free_pages.note_granted (G.pool mgr) n;
                   job.runs <- job.runs + 1;
                   (* Fault the working set in (minimal faults from the
                      pool, or swap-ins after the first cycle). *)
@@ -98,9 +99,8 @@ let () =
                   Spcm.note_returned spcm ~client ~count:released;
                   Engine.delay 200_000.0;
                   loop ()
-              | Spcm.Granted n ->
+              | Spcm.Granted _ ->
                   (* Partial grant: not enough for the working set. *)
-                  Mgr_free_pages.note_granted (G.pool mgr) n;
                   job.deferred <- job.deferred + 1;
                   let released = G.swap_out mgr in
                   Spcm.note_returned spcm ~client ~count:released;

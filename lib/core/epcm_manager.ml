@@ -32,3 +32,7 @@ let kind_to_string = function
 let pp_fault ppf f =
   Format.fprintf ppf "%s %s fault at seg %d page %d (via seg %d)" (kind_to_string f.f_kind)
     (access_to_string f.f_access) f.f_seg f.f_page f.f_space
+
+let charge_fault_logic machine =
+  Hw_machine.charge ~label:"mgr/fault_logic" machine
+    machine.Hw_machine.cost.Hw_cost.manager_fault_logic

@@ -50,3 +50,8 @@ type t = {
 val pp_fault : Format.formatter -> fault -> unit
 val access_to_string : access -> string
 val kind_to_string : fault_kind -> string
+
+val charge_fault_logic : Hw_machine.t -> unit
+(** Charge one fault's manager-internal bookkeeping (the cost model's
+    [manager_fault_logic]) under the ["mgr/fault_logic"] label — the
+    first step of every manager's fault handler. *)

@@ -110,9 +110,7 @@ let sequential_pager kernel =
   let init = K.initial_segment kernel in
   let next = ref 0 in
   let on_fault (fault : Mgr.fault) =
-    let machine = K.machine kernel in
-    Hw_machine.charge ~label:"mgr/fault_logic" machine
-      machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+    Mgr.charge_fault_logic (K.machine kernel);
     match fault.Mgr.f_kind with
     | Mgr.Missing | Mgr.Cow_write ->
         let init_seg = K.segment kernel init in
@@ -137,9 +135,7 @@ let random_pager kernel ~seed =
   let free = Array.init n Fun.id in
   let left = ref n in
   let on_fault (fault : Mgr.fault) =
-    let machine = K.machine kernel in
-    Hw_machine.charge ~label:"mgr/fault_logic" machine
-      machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+    Mgr.charge_fault_logic (K.machine kernel);
     match fault.Mgr.f_kind with
     | Mgr.Missing | Mgr.Cow_write ->
         if !left = 0 then failwith "Exp_cache: random pager out of frames";

@@ -153,9 +153,7 @@ let naive_pager kernel =
   let init = K.initial_segment kernel in
   let next = ref 0 in
   let on_fault (fault : Mgr.fault) =
-    let machine = K.machine kernel in
-    Hw_machine.charge ~label:"mgr/fault_logic" machine
-      machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+    Mgr.charge_fault_logic (K.machine kernel);
     match fault.Mgr.f_kind with
     | Mgr.Missing | Mgr.Cow_write ->
         let init_seg = K.segment kernel init in

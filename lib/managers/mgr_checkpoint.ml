@@ -49,22 +49,14 @@ let frame_data t seg page =
   | None -> None
 
 let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
+  if Mgr_free_pages.available t.pool < n then
+    ignore (Mgr_free_pages.refill t.pool ~source:t.source ~count:(max n 32));
   if Mgr_free_pages.available t.pool < n then
     raise (Mgr_generic.Out_of_frames "Mgr_checkpoint: no frames")
 
 let on_fault t (fault : Mgr.fault) =
   let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr.charge_fault_logic machine;
   match fault.Mgr.f_kind with
   | Mgr.Missing ->
       ensure_pool t 1;

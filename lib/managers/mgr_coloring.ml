@@ -122,8 +122,7 @@ let take_colored t ~color ~dst ~dst_page =
       end
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr.charge_fault_logic (K.machine t.kern);
   match fault.Mgr.f_kind with
   | Mgr.Missing | Mgr.Cow_write ->
       let wanted = fault.Mgr.f_page mod t.n_colors in

@@ -37,16 +37,8 @@ let pool_page_equivalents t =
   float_of_int (Hashtbl.length t.store) *. t.cfg.compression_ratio
 
 let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
+  if Mgr_free_pages.available t.pool < n then
+    ignore (Mgr_free_pages.refill t.pool ~source:t.source ~count:(max n 32));
   if Mgr_free_pages.available t.pool < n then
     raise (Mgr_generic.Out_of_frames "Mgr_compressed: no frames")
 
@@ -100,8 +92,7 @@ let has t ~seg ~page =
   Hashtbl.mem t.store (seg, page) || Mgr_backing.has_block t.backing ~file:(-seg) ~block:page
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr.charge_fault_logic (K.machine t.kern);
   match fault.Mgr.f_kind with
   | Mgr.Missing | Mgr.Cow_write ->
       ensure_pool t 1;
@@ -154,9 +145,7 @@ let evict t ~seg ~page =
   | Some frame ->
       let data = (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame).Hw_phys_mem.data in
       stash t ~seg ~page data;
-      (if Mgr_free_pages.room t.pool = 0 then
-         ignore (Mgr_free_pages.release_to_initial t.pool ~count:16));
-      Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page
+      Mgr_free_pages.put_spilling t.pool ~spill:16 ~src:seg ~src_page:page
 
 let resident t ~seg = Seg.resident_pages (K.segment t.kern seg)
 let compressed_entries t = Hashtbl.length t.store

@@ -47,16 +47,8 @@ let charge_copy t =
     (K.machine t.kern).Hw_machine.cost.Hw_cost.copy_page
 
 let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
+  if Mgr_free_pages.available t.pool < n then
+    ignore (Mgr_free_pages.refill t.pool ~source:t.source ~count:(max n 32));
   if Mgr_free_pages.available t.pool < n then
     raise (Mgr_generic.Out_of_frames "Mgr_dsm: no frames")
 
@@ -87,9 +79,7 @@ let revoke t ~node ~page =
   | Shared | Exclusive ->
       if t.states.(node).(page) = Exclusive then
         Hashtbl.replace t.home page (frame_data t t.node_segs.(node) page);
-      if Mgr_free_pages.room t.pool = 0 then
-        ignore (Mgr_free_pages.release_to_initial t.pool ~count:16);
-      Mgr_free_pages.put_from t.pool ~src:t.node_segs.(node) ~src_page:page;
+      Mgr_free_pages.put_spilling t.pool ~spill:16 ~src:t.node_segs.(node) ~src_page:page;
       t.states.(node).(page) <- Invalid;
       t.invalidations <- t.invalidations + 1;
       charge_net t 1 (* the invalidation message *)
@@ -146,8 +136,7 @@ let acquire_exclusive t ~node ~page =
       install t ~node ~page ~exclusive:true
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr.charge_fault_logic (K.machine t.kern);
   match Hashtbl.find_opt t.seg_to_node fault.Mgr.f_seg with
   | None -> ()
   | Some node -> (

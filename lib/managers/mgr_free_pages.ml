@@ -17,10 +17,17 @@ let segment t = t.seg
 let capacity t = t.capacity
 let available t = t.full
 let room t = t.capacity - t.full
-let grant_slot t = if t.full >= t.capacity then None else Some t.full
-let note_granted t n =
-  if n < 0 || t.full + n > t.capacity then invalid_arg "Mgr_free_pages.note_granted";
-  t.full <- t.full + n
+
+type source = dst:Seg.id -> dst_page:int -> count:int -> int
+
+let refill t ~source ~count =
+  if t.full >= t.capacity then 0
+  else begin
+    let got = source ~dst:t.seg ~dst_page:t.full ~count:(min count (room t)) in
+    if got < 0 || t.full + got > t.capacity then invalid_arg "Mgr_free_pages.refill";
+    t.full <- t.full + got;
+    got
+  end
 
 let take_to t ~dst ~dst_page ~count ?tier ?(set_flags = Epcm_flags.empty)
     ?(clear_flags = Epcm_flags.empty) () =
@@ -40,6 +47,18 @@ let put_from t ~src ~src_page =
     ();
   t.full <- t.full + 1
 
+let release_to_initial t ~count =
+  let n = min count t.full in
+  if n > 0 then begin
+    K.release_frames t.kernel ~seg:t.seg ~page:(t.full - n) ~count:n;
+    t.full <- t.full - n
+  end;
+  n
+
+let put_spilling t ~spill ~src ~src_page =
+  if room t = 0 then ignore (release_to_initial t ~count:spill);
+  put_from t ~src ~src_page
+
 let frame_at t slot =
   let seg = K.segment t.kernel t.seg in
   match (Seg.page seg slot).Seg.frame with
@@ -51,11 +70,3 @@ let set_next_data t data =
   (frame_at t (t.full - 1)).Hw_phys_mem.data <- data
 
 let peek_slot_data t ~slot = (frame_at t slot).Hw_phys_mem.data
-
-let release_to_initial t ~count =
-  let n = min count t.full in
-  if n > 0 then begin
-    K.release_frames t.kernel ~seg:t.seg ~page:(t.full - n) ~count:n;
-    t.full <- t.full - n
-  end;
-  n

@@ -22,14 +22,15 @@ val available : t -> int
 val room : t -> int
 (** Empty slots (capacity - available). *)
 
-val grant_slot : t -> int option
-(** Where the SPCM should migrate the next incoming frame: the first empty
-    slot, or [None] when full. After an external party migrates a frame in
-    at this slot, call {!note_granted}. *)
+type source = dst:Epcm_segment.id -> dst_page:int -> count:int -> int
+(** Where frames come from: migrate up to [count] frames into
+    [dst_page ..] of [dst] and return how many were granted (the system
+    page cache manager, or the kernel's initial segment directly). *)
 
-val note_granted : t -> int -> unit
-(** Record that [n] frames were migrated into the segment at the grant
-    position. *)
+val refill : t -> source:source -> count:int -> int
+(** Ask [source] for up to [count] frames (clamped to {!room}), migrated
+    into the empty slots above the full region; returns how many arrived.
+    A full pool returns 0 without calling [source]. *)
 
 val take_to :
   t ->
@@ -50,6 +51,10 @@ val take_to :
 val put_from : t -> src:Epcm_segment.id -> src_page:int -> unit
 (** Reclaim: migrate the frame at ([src], [src_page]) into the pool.
     Raises {!Epcm_kernel.Error} if the pool is full or the page empty. *)
+
+val put_spilling : t -> spill:int -> src:Epcm_segment.id -> src_page:int -> unit
+(** {!put_from}, but a full pool first gives [spill] frames back to the
+    kernel's initial segment ({!release_to_initial}) to make room. *)
 
 val set_next_data : t -> Hw_page_data.t -> unit
 (** Set the contents of the frame that the next single-page {!take_to}

@@ -17,22 +17,13 @@ type t = {
 let manager_id t = t.mid
 
 let ensure_pool t n =
-  if Mgr_free_pages.available t.pool < n then begin
-    match Mgr_free_pages.grant_slot t.pool with
-    | None -> ()
-    | Some slot ->
-        let got =
-          t.source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot
-            ~count:(max n (min 32 (Mgr_free_pages.room t.pool)))
-        in
-        Mgr_free_pages.note_granted t.pool got
-  end;
+  if Mgr_free_pages.available t.pool < n then
+    ignore (Mgr_free_pages.refill t.pool ~source:t.source ~count:(max n 32));
   if Mgr_free_pages.available t.pool < n then
     raise (Mgr_generic.Out_of_frames "Mgr_gc: no frames")
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr.charge_fault_logic (K.machine t.kern);
   match fault.Mgr.f_kind with
   | Mgr.Missing | Mgr.Cow_write ->
       let key = (fault.Mgr.f_seg, fault.Mgr.f_page) in
@@ -87,10 +78,6 @@ let declare_garbage t ~seg ~page ~count =
     Hashtbl.replace t.garbage (seg, p) ()
   done
 
-let room_or_release t =
-  if Mgr_free_pages.room t.pool = 0 then
-    ignore (Mgr_free_pages.release_to_initial t.pool ~count:16)
-
 let reclaim_garbage t ~seg =
   let s = K.segment t.kern seg in
   let reclaimed = ref 0 in
@@ -101,8 +88,7 @@ let reclaim_garbage t ~seg =
       | None -> ()
       | Some _ ->
           let was_dirty = Flags.mem slot.Seg.flags Flags.dirty in
-          room_or_release t;
-          Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page;
+          Mgr_free_pages.put_spilling t.pool ~spill:16 ~src:seg ~src_page:page;
           t.discards <- t.discards + 1;
           if was_dirty then t.avoided_writebacks <- t.avoided_writebacks + 1;
           incr reclaimed
@@ -124,8 +110,7 @@ let evict_conventional t ~seg ~page ~count =
                (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame).Hw_phys_mem.data
              in
              Mgr_backing.write_block t.backing ~file:(-seg) ~block:p data);
-          room_or_release t;
-          Mgr_free_pages.put_from t.pool ~src:seg ~src_page:p;
+          Mgr_free_pages.put_spilling t.pool ~spill:16 ~src:seg ~src_page:p;
           incr reclaimed
     end
   done;

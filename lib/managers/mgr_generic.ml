@@ -33,7 +33,7 @@ let default_hooks ~backing =
     reprotect_batch = 8;
   }
 
-type source = dst:Epcm_segment.id -> dst_page:int -> count:int -> int
+type source = Mgr_free_pages.source
 
 type sp_source = dst:Epcm_segment.id -> dst_page:int -> int
 
@@ -55,8 +55,6 @@ type stats = {
 
 type seg_info = { kind : seg_kind; mutable high_water : int; sp : bool }
 
-type clock_entry = { ce_seg : Seg.id; ce_page : int; mutable ce_dead : bool }
-
 type t = {
   kern : K.t;
   name : string;
@@ -69,19 +67,14 @@ type t = {
   refill_batch : int;
   reclaim_batch : int;
   segs : (Seg.id, seg_info) Hashtbl.t;
-  mutable ring : clock_entry list;  (* newest first; rebuilt lazily *)
-  mutable hand : clock_entry list;  (* suffix of the scan order *)
-  (* Entries whose page lost its frame are tombstoned (ce_dead) rather
-     than filtered out on the spot — an eager List.filter per stale entry
-     is O(ring), which goes quadratic under churn. The ring compacts once
-     tombstones outnumber live entries, so removal is amortised O(1). *)
-  mutable ring_len : int;  (* entries in [ring], live and dead *)
-  mutable ring_dead : int;  (* tombstones still in [ring] *)
+  clock : Mgr_clock.t;
   counters : Sim_stats.Counters.t option;
   stats : stats;
   (* A manager serves one fault at a time, like the request loop of a real
      manager process: fills that suspend (disk reads) must not interleave
-     with another fault's pool manipulation. *)
+     with another fault's pool manipulation. Pool operations charge
+     simulated time step by step, so the batch entry points (swap_out,
+     return_to_system) take the same lock. *)
   serving : Sim_sync.Semaphore.t;
 }
 
@@ -115,129 +108,61 @@ let info t seg =
 
 let segment_kind t seg = Option.map (fun i -> i.kind) (Hashtbl.find_opt t.segs seg)
 
-let charge_logic t =
-  Hw_machine.charge ~label:"mgr/fault_logic" (K.machine t.kern)
-    (K.machine t.kern).Hw_machine.cost.Hw_cost.manager_fault_logic
-
-(* Pool operations are multi-step and charge simulated time as they go,
-   so any two of them interleave if run from different processes. Fault
-   handling already serialises on [serving]; the batch entry points
-   (swap_out, swap_in, return_to_system) take the same lock. *)
-let with_serving t f =
-  Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect ~finally:(fun () -> Sim_sync.Semaphore.release t.serving) f
-
 (* ------------------------------------------------------------------ *)
 (* Pool refill and reclamation                                        *)
 (* ------------------------------------------------------------------ *)
 
 let request_from_source t count =
   match t.source with
-  | None -> 0
-  | Some source -> (
-      match Mgr_free_pages.grant_slot t.pool with
-      | None -> 0
-      | Some slot ->
-          t.stats.refill_requests <- t.stats.refill_requests + 1;
-          let want = min count (Mgr_free_pages.room t.pool) in
-          let got = source ~dst:(Mgr_free_pages.segment t.pool) ~dst_page:slot ~count:want in
-          Mgr_free_pages.note_granted t.pool got;
-          t.stats.frames_from_source <- t.stats.frames_from_source + got;
-          got)
+  | Some source when Mgr_free_pages.room t.pool > 0 ->
+      t.stats.refill_requests <- t.stats.refill_requests + 1;
+      let got = Mgr_free_pages.refill t.pool ~source ~count in
+      t.stats.frames_from_source <- t.stats.frames_from_source + got;
+      got
+  | _ -> 0
 
-let slot_state t seg page =
-  if not (K.segment_exists t.kern seg) then None
-  else
-    let s = K.segment t.kern seg in
-    if not (Seg.in_range s page) then None
-    else
-      let slot = Seg.page s page in
-      Option.map (fun frame -> (slot, frame)) slot.Seg.frame
+(* The clock's victim action: write the page back (or discard it) per
+   the eviction hook, then move its frame into the pool. *)
+let evict t ~seg ~page slot frame =
+  let dirty = Flags.mem slot.Seg.flags Flags.dirty in
+  let released =
+    (* The hook itself may fail too (a WAL hook that cannot flush its
+       log raises Backing_failed to veto the writeback). Either way
+       the degradation is the same: the page stays resident and
+       dirty, still owned by its segment, and the clock moves on to
+       a cleaner victim. A later pass retries it. *)
+    try
+      match t.hooks.on_eviction ~seg ~page ~dirty with
+      | `Writeback ->
+          let data =
+            (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame).Hw_phys_mem.data
+          in
+          (* Anonymous pages write to a swap area modelled by the same
+             backing store under the negated segment id. *)
+          let file =
+            match Hashtbl.find_opt t.segs seg with
+            | Some { kind = File { file_id }; _ } -> file_id
+            | Some { kind = Anon; _ } | None -> -seg
+          in
+          Mgr_backing.write_block t.backing ~file ~block:page data;
+          t.stats.writebacks <- t.stats.writebacks + 1;
+          true
+      | `Discard ->
+          t.stats.discards <- t.stats.discards + 1;
+          true
+    with Mgr_backing.Backing_failed _ ->
+      t.stats.writeback_failures <- t.stats.writeback_failures + 1;
+      bump t "writeback_skipped";
+      false
+  in
+  if not released then `Kept
+  else begin
+    Mgr_free_pages.put_from t.pool ~src:seg ~src_page:page;
+    t.stats.reclaimed <- t.stats.reclaimed + 1;
+    `Reclaimed
+  end
 
-let evict_one t entry =
-  match slot_state t entry.ce_seg entry.ce_page with
-  | None -> `Gone
-  | Some (slot, frame) ->
-      let flags = slot.Seg.flags in
-      if Flags.mem flags Flags.pinned || Flags.mem flags Flags.io_busy then `Skip
-      else if Flags.mem flags Flags.referenced then begin
-        (* Second chance: clear the reference bit and move on. *)
-        K.modify_page_flags t.kern ~seg:entry.ce_seg ~page:entry.ce_page ~count:1
-          ~clear_flags:Flags.referenced ();
-        `Skip
-      end
-      else begin
-        let dirty = Flags.mem flags Flags.dirty in
-        let released =
-          (* The hook itself may fail too (a WAL hook that cannot flush its
-             log raises Backing_failed to veto the writeback). Either way
-             the degradation is the same: the page stays resident and
-             dirty, still owned by its segment, and the clock moves on to
-             a cleaner victim. A later pass retries it. *)
-          try
-            match t.hooks.on_eviction ~seg:entry.ce_seg ~page:entry.ce_page ~dirty with
-            | `Writeback ->
-                let data =
-                  (Hw_phys_mem.frame (K.machine t.kern).Hw_machine.mem frame).Hw_phys_mem.data
-                in
-                (* Anonymous pages write to a swap area modelled by the same
-                   backing store under the negated segment id. *)
-                let file =
-                  match Hashtbl.find_opt t.segs entry.ce_seg with
-                  | Some { kind = File { file_id }; _ } -> file_id
-                  | Some { kind = Anon; _ } | None -> -entry.ce_seg
-                in
-                Mgr_backing.write_block t.backing ~file ~block:entry.ce_page data;
-                t.stats.writebacks <- t.stats.writebacks + 1;
-                true
-            | `Discard ->
-                t.stats.discards <- t.stats.discards + 1;
-                true
-          with Mgr_backing.Backing_failed _ ->
-            t.stats.writeback_failures <- t.stats.writeback_failures + 1;
-            bump t "writeback_skipped";
-            false
-        in
-        if not released then `Skip
-        else begin
-          Mgr_free_pages.put_from t.pool ~src:entry.ce_seg ~src_page:entry.ce_page;
-          t.stats.reclaimed <- t.stats.reclaimed + 1;
-          `Evicted
-        end
-      end
-
-let reclaim t ~count =
-  let reclaimed = ref 0 in
-  let passes = ref 0 in
-  let stop = ref false in
-  (* Two full sweeps at most: the first typically clears reference bits,
-     the second finds victims. A sweep in progress runs to completion. *)
-  while (not !stop) && !reclaimed < count && (!passes < 2 || t.hand <> []) do
-    if t.hand = [] then begin
-      t.hand <- t.ring;
-      incr passes;
-      if t.hand = [] then stop := true
-    end;
-    match t.hand with
-    | [] -> stop := true
-    | entry :: rest -> (
-        t.hand <- rest;
-        if Mgr_free_pages.room t.pool = 0 then stop := true
-        else if entry.ce_dead then ()
-        else
-          match evict_one t entry with
-          | `Evicted -> incr reclaimed
-          | `Skip -> ()
-          | `Gone ->
-              entry.ce_dead <- true;
-              t.ring_dead <- t.ring_dead + 1;
-              if t.ring_dead * 2 > t.ring_len then begin
-                t.ring <- List.filter (fun e -> not e.ce_dead) t.ring;
-                t.ring_len <- List.length t.ring;
-                t.ring_dead <- 0
-              end)
-  done;
-  !reclaimed
+let reclaim t ~count = Mgr_clock.sweep t.clock ~count ~until_full:t.pool (evict t)
 
 let ensure_pool t ~count =
   if Mgr_free_pages.available t.pool < count then begin
@@ -255,9 +180,7 @@ let ensure_pool t ~count =
 (* Fault handling                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let track t seg page =
-  t.ring <- { ce_seg = seg; ce_page = page; ce_dead = false } :: t.ring;
-  t.ring_len <- t.ring_len + 1
+let track t seg page = Mgr_clock.track t.clock seg page
 
 (* Superpage grant: when the faulting segment opted in and the whole
    covering region is still empty, ask the run source for one aligned
@@ -389,24 +312,21 @@ let handle_cow t (fault : Mgr.fault) =
   t.stats.cow_fills <- t.stats.cow_fills + 1
 
 let on_fault t (fault : Mgr.fault) =
-  charge_logic t;
-  Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect
-    ~finally:(fun () -> Sim_sync.Semaphore.release t.serving)
-    (fun () ->
-      (* Another fault on the same page may have been served while we
-         waited in the queue. *)
-      let s = K.segment t.kern fault.Mgr.f_seg in
-      let already_resolved =
-        fault.Mgr.f_kind = Mgr.Missing
-        && Seg.in_range s fault.Mgr.f_page
-        && (Seg.page s fault.Mgr.f_page).Seg.frame <> None
-      in
-      if not already_resolved then
-        match fault.Mgr.f_kind with
-        | Mgr.Missing -> handle_missing t fault
-        | Mgr.Protection -> handle_protection t fault
-        | Mgr.Cow_write -> handle_cow t fault)
+  Mgr.charge_fault_logic (K.machine t.kern);
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
+  (* Another fault on the same page may have been served while we
+     waited in the queue. *)
+  let s = K.segment t.kern fault.Mgr.f_seg in
+  let already_resolved =
+    fault.Mgr.f_kind = Mgr.Missing
+    && Seg.in_range s fault.Mgr.f_page
+    && (Seg.page s fault.Mgr.f_page).Seg.frame <> None
+  in
+  if not already_resolved then
+    match fault.Mgr.f_kind with
+    | Mgr.Missing -> handle_missing t fault
+    | Mgr.Protection -> handle_protection t fault
+    | Mgr.Cow_write -> handle_cow t fault
 
 let on_close t seg =
   t.stats.closes <- t.stats.closes + 1;
@@ -442,17 +362,15 @@ let on_close t seg =
             end
       done);
   Hashtbl.remove t.segs seg;
-  t.ring <- List.filter (fun e -> (not e.ce_dead) && e.ce_seg <> seg) t.ring;
-  t.ring_len <- List.length t.ring;
-  t.ring_dead <- 0;
-  t.hand <- List.filter (fun e -> e.ce_seg <> seg) t.hand
+  Mgr_clock.purge_segment t.clock seg
 
 let return_to_system_unlocked t ~pages =
   if Mgr_free_pages.available t.pool < pages then
     ignore (reclaim t ~count:(pages - Mgr_free_pages.available t.pool));
   Mgr_free_pages.release_to_initial t.pool ~count:pages
 
-let return_to_system t ~pages = with_serving t (fun () -> return_to_system_unlocked t ~pages)
+let return_to_system t ~pages =
+  Sim_sync.Semaphore.with_permit t.serving (fun () -> return_to_system_unlocked t ~pages)
 
 (* The 2.2 batch-swap protocol: page everything out (unpinned pages are
    written back per the eviction policy) and hand the frames back to the
@@ -460,7 +378,7 @@ let return_to_system t ~pages = with_serving t (fun () -> return_to_system_unloc
    expected to unpin and release those through the default manager before
    suspending, and lock_in_memory re-establishes them on resumption. *)
 let swap_out t =
-  with_serving t @@ fun () ->
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
   let released = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -502,10 +420,7 @@ let create kern ~name ~mode ~backing ?source ?sp_source ?hooks ?(pool_capacity =
       refill_batch;
       reclaim_batch;
       segs = Hashtbl.create 16;
-      ring = [];
-      hand = [];
-      ring_len = 0;
-      ring_dead = 0;
+      clock = Mgr_clock.create kern;
       counters;
       stats = fresh_stats ();
       serving = Sim_sync.Semaphore.create 1;

@@ -5,8 +5,14 @@
     free-page segment, fault handling, a second-chance clock over resident
     pages, writeback and interaction with the system page cache manager;
     applications override the page-fill, allocation-batch and eviction
-    hooks. {!Mgr_default}, {!Mgr_dbms}, {!Mgr_prefetch} and
-    {!Mgr_coloring} are all such specialisations. *)
+    hooks. {!Mgr_default} and {!Mgr_dbms} are such specialisations.
+
+    The mechanics themselves live in two shared modules that every
+    manager uses, specialised from this one or not: {!Mgr_free_pages}
+    holds the frame pool (refill from a {!source}, spill-then-put) and
+    {!Mgr_clock} the tombstoned second-chance ring. Each manager keeps
+    only its policy — this one, its hooks, writeback and the order of
+    refill and reclaim. *)
 
 type seg_kind =
   | Anon  (** Heap/stack-like: new pages have no backing data. *)
@@ -35,7 +41,7 @@ type hooks = {
 
 val default_hooks : backing:Mgr_backing.t -> hooks
 
-type source = dst:Epcm_segment.id -> dst_page:int -> count:int -> int
+type source = Mgr_free_pages.source
 (** Ask the system page cache manager for frames, migrated into
     [dst_page..] of [dst]; returns how many were granted. *)
 

@@ -41,28 +41,18 @@ let page_absent t seg page =
   let s = K.segment t.kern seg in
   Seg.in_range s page && (Seg.page s page).Seg.frame = None
 
-let with_pool t f =
-  Semaphore.acquire t.pool_lock;
-  Fun.protect ~finally:(fun () -> Semaphore.release t.pool_lock) f
-
 (* Fill one page: read the block (disk latency), then take a pooled frame
    carrying the data into the slot. The pool lock covers only the pool
    manipulation, not the disk wait. *)
 let fill_page t seg page =
   let { file_id } = info t seg in
   let data = Mgr_backing.read_block t.backing ~file:file_id ~block:page in
-  with_pool t (fun () ->
+  Semaphore.with_permit t.pool_lock (fun () ->
       if page_absent t seg page then begin
-        if Mgr_free_pages.available t.pool = 0 then begin
-          let got =
-            t.source ~dst:(Mgr_free_pages.segment t.pool)
-              ~dst_page:(Option.value (Mgr_free_pages.grant_slot t.pool) ~default:0)
-              ~count:(min 32 (Mgr_free_pages.room t.pool))
-          in
-          Mgr_free_pages.note_granted t.pool got;
-          if got = 0 then
-            raise (Mgr_generic.Out_of_frames "Mgr_prefetch: no frames for fill")
-        end;
+        if
+          Mgr_free_pages.available t.pool = 0
+          && Mgr_free_pages.refill t.pool ~source:t.source ~count:32 = 0
+        then raise (Mgr_generic.Out_of_frames "Mgr_prefetch: no frames for fill");
         Mgr_free_pages.set_next_data t.pool data;
         let moved =
           Mgr_free_pages.take_to t.pool ~dst:seg ~dst_page:page ~count:1
@@ -72,8 +62,7 @@ let fill_page t seg page =
       end)
 
 let on_fault t (fault : Mgr.fault) =
-  let machine = K.machine t.kern in
-  Hw_machine.charge ~label:"mgr/fault_logic" machine machine.Hw_machine.cost.Hw_cost.manager_fault_logic;
+  Mgr.charge_fault_logic (K.machine t.kern);
   match fault.Mgr.f_kind with
   | Mgr.Missing -> (
       let key = (fault.Mgr.f_seg, fault.Mgr.f_page) in
@@ -157,15 +146,13 @@ let prefetch t ~seg ~page ~count =
   done
 
 let discard t ~seg ~page ~count =
-  with_pool t (fun () ->
+  Semaphore.with_permit t.pool_lock (fun () ->
       let s = K.segment t.kern seg in
       for p = page to page + count - 1 do
         if Seg.in_range s p && (Seg.page s p).Seg.frame <> None then begin
           (* Dead data: reclaim the frame with no writeback, even if
              dirty. *)
-          if Mgr_free_pages.room t.pool = 0 then
-            ignore (Mgr_free_pages.release_to_initial t.pool ~count:32);
-          Mgr_free_pages.put_from t.pool ~src:seg ~src_page:p;
+          Mgr_free_pages.put_spilling t.pool ~spill:32 ~src:seg ~src_page:p;
           t.discards <- t.discards + 1
         end
       done)

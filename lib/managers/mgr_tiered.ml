@@ -27,41 +27,6 @@ let fresh_stats () =
     sp_fills = 0;
   }
 
-type clock_entry = { ce_seg : Seg.id; ce_page : int; mutable ce_dead : bool }
-
-(* One second-chance clock per tier, with the same tombstone + amortised
-   compaction discipline as Mgr_generic's ring: entries whose page lost
-   its frame — or whose frame is no longer of this clock's tier, which is
-   what a promotion or demotion looks like from the other ring — are
-   marked dead and swept out once they outnumber the live entries. *)
-type clock = {
-  mutable ring : clock_entry list;  (* newest first *)
-  mutable hand : clock_entry list;  (* suffix of the scan order *)
-  mutable ring_len : int;
-  mutable ring_dead : int;
-}
-
-let fresh_clock () = { ring = []; hand = []; ring_len = 0; ring_dead = 0 }
-
-let track clock seg page =
-  clock.ring <- { ce_seg = seg; ce_page = page; ce_dead = false } :: clock.ring;
-  clock.ring_len <- clock.ring_len + 1
-
-let tombstone clock entry =
-  entry.ce_dead <- true;
-  clock.ring_dead <- clock.ring_dead + 1;
-  if clock.ring_dead * 2 > clock.ring_len then begin
-    clock.ring <- List.filter (fun e -> not e.ce_dead) clock.ring;
-    clock.ring_len <- List.length clock.ring;
-    clock.ring_dead <- 0
-  end
-
-let purge_segment clock seg =
-  clock.ring <- List.filter (fun e -> (not e.ce_dead) && e.ce_seg <> seg) clock.ring;
-  clock.ring_len <- List.length clock.ring;
-  clock.ring_dead <- 0;
-  clock.hand <- List.filter (fun e -> e.ce_seg <> seg) clock.hand
-
 type t = {
   kern : K.t;
   name : string;
@@ -71,8 +36,10 @@ type t = {
   fast_pool : Mgr_free_pages.t;  (* tier-pure: fast frames only *)
   slow_pool : Mgr_free_pages.t;  (* tier-pure: slow frames only *)
   compressed : Mgr_compressed.t;  (* the coldest tier, via stash/fetch *)
-  fast_clock : clock;
-  slow_clock : clock;
+  (* One second-chance clock per tier: a page whose frame left the
+     clock's tier (promoted or demoted by the other ring) counts as gone. *)
+  fast_clock : Mgr_clock.t;
+  slow_clock : Mgr_clock.t;
   refill_batch : int;
   reclaim_batch : int;
   segs : (Seg.id, bool) Hashtbl.t;  (* value: segment opted into superpages *)
@@ -92,25 +59,8 @@ let compressed t = t.compressed
 let fast_tier t = t.fast_tier
 let slow_tier t = t.slow_tier
 
-let charge_logic t =
-  Hw_machine.charge ~label:"mgr/fault_logic" (K.machine t.kern)
-    (K.machine t.kern).Hw_machine.cost.Hw_cost.manager_fault_logic
-
-let with_serving t f =
-  Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect ~finally:(fun () -> Sim_sync.Semaphore.release t.serving) f
-
 let frame_data t frame =
   (Phys.frame (K.machine t.kern).Hw_machine.mem frame).Phys.data
-
-let slot_state t seg page =
-  if not (K.segment_exists t.kern seg) then None
-  else
-    let s = K.segment t.kern seg in
-    if not (Seg.in_range s page) then None
-    else
-      let slot = Seg.page s page in
-      Option.map (fun frame -> (slot, frame)) slot.Seg.frame
 
 (* ------------------------------------------------------------------ *)
 (* Frame supply                                                       *)
@@ -120,63 +70,15 @@ let slot_state t seg page =
    Unlike an SPCM source the slots need not be contiguous, so this is one
    single-page MigratePages per frame. *)
 let refill t pool ~tier ~want =
-  match Mgr_free_pages.grant_slot pool with
-  | None -> 0
-  | Some slot0 ->
-      let want = min want (Mgr_free_pages.room pool) in
-      let init = K.initial_segment t.kern in
-      let slots = K.initial_slots ~tier t.kern ~limit:want in
-      let got = ref 0 in
-      List.iter
-        (fun src_page ->
-          K.migrate_pages t.kern ~src:init ~dst:(Mgr_free_pages.segment pool) ~src_page
-            ~dst_page:(slot0 + !got) ~count:1 ~tier ();
-          incr got)
+  let init = K.initial_segment t.kern in
+  Mgr_free_pages.refill pool ~count:want ~source:(fun ~dst ~dst_page ~count ->
+      let slots = K.initial_slots ~tier t.kern ~limit:count in
+      List.iteri
+        (fun i src_page ->
+          K.migrate_pages t.kern ~src:init ~dst ~src_page ~dst_page:(dst_page + i) ~count:1
+            ~tier ())
         slots;
-      Mgr_free_pages.note_granted pool !got;
-      !got
-
-let victim t ~tier entry =
-  match slot_state t entry.ce_seg entry.ce_page with
-  | None -> `Gone
-  | Some (slot, frame) ->
-      if Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame <> tier then `Gone
-      else
-        let flags = slot.Seg.flags in
-        if Flags.mem flags Flags.pinned || Flags.mem flags Flags.io_busy then `Skip
-        else if Flags.mem flags Flags.referenced then begin
-          (* Second chance. *)
-          K.modify_page_flags t.kern ~seg:entry.ce_seg ~page:entry.ce_page ~count:1
-            ~clear_flags:Flags.referenced ();
-          `Skip
-        end
-        else `Victim (slot, frame)
-
-(* Clock sweep over one tier's ring; [demote] moves a victim down a level
-   and reports success. Two full passes at most, like Mgr_generic. *)
-let sweep_clock t clock ~tier ~count ~demote =
-  let reclaimed = ref 0 in
-  let passes = ref 0 in
-  let stop = ref false in
-  while (not !stop) && !reclaimed < count && (!passes < 2 || clock.hand <> []) do
-    if clock.hand = [] then begin
-      clock.hand <- clock.ring;
-      incr passes;
-      if clock.hand = [] then stop := true
-    end;
-    match clock.hand with
-    | [] -> stop := true
-    | entry :: rest -> (
-        clock.hand <- rest;
-        if entry.ce_dead then ()
-        else
-          match victim t ~tier entry with
-          | `Gone -> tombstone clock entry
-          | `Skip -> ()
-          | `Victim (slot, frame) ->
-              if demote entry slot frame then incr reclaimed else stop := true)
-  done;
-  !reclaimed
+      List.length slots)
 
 (* Migration masks that carry the page's dirtiness across the frame
    change (the data moved with set_next_data, not with the frame, so the
@@ -192,13 +94,11 @@ let move_masks ~extra_set flags =
   (set_flags, clear_flags)
 
 (* Slow -> compressed store: page contents leave physical memory. *)
-let demote_to_compressed t entry _slot frame =
-  Mgr_compressed.stash t.compressed ~seg:entry.ce_seg ~page:entry.ce_page (frame_data t frame);
-  (if Mgr_free_pages.room t.slow_pool = 0 then
-     ignore (Mgr_free_pages.release_to_initial t.slow_pool ~count:16));
-  Mgr_free_pages.put_from t.slow_pool ~src:entry.ce_seg ~src_page:entry.ce_page;
+let demote_to_compressed t ~seg ~page _slot frame =
+  Mgr_compressed.stash t.compressed ~seg ~page (frame_data t frame);
+  Mgr_free_pages.put_spilling t.slow_pool ~spill:16 ~src:seg ~src_page:page;
   t.stats.demotions_compressed <- t.stats.demotions_compressed + 1;
-  true
+  `Reclaimed
 
 let ensure_slow t n =
   if Mgr_free_pages.available t.slow_pool < n then begin
@@ -206,32 +106,31 @@ let ensure_slow t n =
     ignore (refill t t.slow_pool ~tier:t.slow_tier ~want:(max missing t.refill_batch));
     if Mgr_free_pages.available t.slow_pool < n then
       ignore
-        (sweep_clock t t.slow_clock ~tier:t.slow_tier
+        (Mgr_clock.sweep t.slow_clock
            ~count:(max (n - Mgr_free_pages.available t.slow_pool) t.reclaim_batch)
-           ~demote:(demote_to_compressed t))
+           (demote_to_compressed t))
   end;
   Mgr_free_pages.available t.slow_pool >= n
 
 (* Fast -> slow: land the page on a slow frame, contents intact, and
-   protect it so the next touch raises the promotion fault. *)
-let demote_to_slow t entry slot frame =
-  ensure_slow t 1
-  && begin
-       let data = frame_data t frame in
-       let set_flags, clear_flags = move_masks ~extra_set:[ Flags.no_access ] slot.Seg.flags in
-       (if Mgr_free_pages.room t.fast_pool = 0 then
-          ignore (Mgr_free_pages.release_to_initial t.fast_pool ~count:16));
-       Mgr_free_pages.put_from t.fast_pool ~src:entry.ce_seg ~src_page:entry.ce_page;
-       Mgr_free_pages.set_next_data t.slow_pool data;
-       let moved =
-         Mgr_free_pages.take_to t.slow_pool ~dst:entry.ce_seg ~dst_page:entry.ce_page ~count:1
-           ~tier:t.slow_tier ~set_flags ~clear_flags ()
-       in
-       assert (moved = 1);
-       track t.slow_clock entry.ce_seg entry.ce_page;
-       t.stats.demotions_slow <- t.stats.demotions_slow + 1;
-       true
-     end
+   protect it so the next touch raises the promotion fault. The sweep
+   stops when no slow frame can be had. *)
+let demote_to_slow t ~seg ~page slot frame =
+  if not (ensure_slow t 1) then `Stop
+  else begin
+    let data = frame_data t frame in
+    let set_flags, clear_flags = move_masks ~extra_set:[ Flags.no_access ] slot.Seg.flags in
+    Mgr_free_pages.put_spilling t.fast_pool ~spill:16 ~src:seg ~src_page:page;
+    Mgr_free_pages.set_next_data t.slow_pool data;
+    let moved =
+      Mgr_free_pages.take_to t.slow_pool ~dst:seg ~dst_page:page ~count:1 ~tier:t.slow_tier
+        ~set_flags ~clear_flags ()
+    in
+    assert (moved = 1);
+    Mgr_clock.track t.slow_clock seg page;
+    t.stats.demotions_slow <- t.stats.demotions_slow + 1;
+    `Reclaimed
+  end
 
 let ensure_fast t n =
   if Mgr_free_pages.available t.fast_pool < n then begin
@@ -239,9 +138,9 @@ let ensure_fast t n =
     ignore (refill t t.fast_pool ~tier:t.fast_tier ~want:(max missing t.refill_batch));
     if Mgr_free_pages.available t.fast_pool < n then
       ignore
-        (sweep_clock t t.fast_clock ~tier:t.fast_tier
+        (Mgr_clock.sweep t.fast_clock
            ~count:(max (n - Mgr_free_pages.available t.fast_pool) t.reclaim_batch)
-           ~demote:(demote_to_slow t))
+           (demote_to_slow t))
   end;
   Mgr_free_pages.available t.fast_pool >= n
 
@@ -293,7 +192,7 @@ let try_superpage_fill t ~seg ~page =
   | Some base ->
       t.sp_cursor <- base + run;
       for p = sbase to sbase + run - 1 do
-        track t.fast_clock seg p
+        Mgr_clock.track t.fast_clock seg p
       done;
       t.stats.sp_fills <- t.stats.sp_fills + 1;
       t.stats.fills <- t.stats.fills + run;
@@ -316,7 +215,7 @@ let handle_missing t ~seg ~page =
       ()
   in
   assert (moved = 1);
-  track t.fast_clock seg page
+  Mgr_clock.track t.fast_clock seg page
   end
 
 let promote t ~seg ~page =
@@ -325,22 +224,20 @@ let promote t ~seg ~page =
        this very page into the compressed store (demote_to_slow ->
        ensure_slow -> demote_to_compressed), or another queued fault may
        have moved it. *)
-    match slot_state t seg page with
+    match Mgr_clock.lookup t.kern seg page with
     | Some (slot, frame)
       when Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame = t.slow_tier ->
         let data = frame_data t frame in
         let set_flags, clear_flags = move_masks ~extra_set:[] slot.Seg.flags in
         let clear_flags = Flags.union clear_flags Flags.no_access in
-        (if Mgr_free_pages.room t.slow_pool = 0 then
-           ignore (Mgr_free_pages.release_to_initial t.slow_pool ~count:16));
-        Mgr_free_pages.put_from t.slow_pool ~src:seg ~src_page:page;
+        Mgr_free_pages.put_spilling t.slow_pool ~spill:16 ~src:seg ~src_page:page;
         Mgr_free_pages.set_next_data t.fast_pool data;
         let moved =
           Mgr_free_pages.take_to t.fast_pool ~dst:seg ~dst_page:page ~count:1 ~tier:t.fast_tier
             ~set_flags ~clear_flags ()
         in
         assert (moved = 1);
-        track t.fast_clock seg page;
+        Mgr_clock.track t.fast_clock seg page;
         t.stats.promotions <- t.stats.promotions + 1
     | Some _ -> ()  (* already landed on a fast frame *)
     | None -> handle_missing t ~seg ~page
@@ -353,7 +250,7 @@ let promote t ~seg ~page =
   end
 
 let handle_protection t (fault : Mgr.fault) =
-  match slot_state t fault.Mgr.f_seg fault.Mgr.f_page with
+  match Mgr_clock.lookup t.kern fault.Mgr.f_seg fault.Mgr.f_page with
   | Some (_, frame)
     when Phys.tier_of_frame (K.machine t.kern).Hw_machine.mem frame = t.slow_tier ->
       promote t ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
@@ -372,17 +269,17 @@ let handle_cow t (fault : Mgr.fault) =
       ()
   in
   assert (moved = 1);
-  track t.fast_clock fault.Mgr.f_seg fault.Mgr.f_page;
+  Mgr_clock.track t.fast_clock fault.Mgr.f_seg fault.Mgr.f_page;
   t.stats.cow_fills <- t.stats.cow_fills + 1
 
 let on_fault t (fault : Mgr.fault) =
-  charge_logic t;
-  with_serving t @@ fun () ->
+  Mgr.charge_fault_logic (K.machine t.kern);
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
   match fault.Mgr.f_kind with
   | Mgr.Missing ->
       (* Another fault on the same page may have been served while we
          waited in the queue. *)
-      if slot_state t fault.Mgr.f_seg fault.Mgr.f_page = None then
+      if Mgr_clock.lookup t.kern fault.Mgr.f_seg fault.Mgr.f_page = None then
         handle_missing t ~seg:fault.Mgr.f_seg ~page:fault.Mgr.f_page
   | Mgr.Protection -> handle_protection t fault
   | Mgr.Cow_write -> handle_cow t fault
@@ -392,8 +289,8 @@ let on_close t seg =
   | Some true -> t.sp_segs <- t.sp_segs - 1
   | _ -> ());
   Hashtbl.remove t.segs seg;
-  purge_segment t.fast_clock seg;
-  purge_segment t.slow_clock seg
+  Mgr_clock.purge_segment t.fast_clock seg;
+  Mgr_clock.purge_segment t.slow_clock seg
 
 let return_to_system_unlocked t ~pages =
   let from_slow = Mgr_free_pages.release_to_initial t.slow_pool ~count:pages in
@@ -404,7 +301,8 @@ let return_to_system_unlocked t ~pages =
   in
   from_slow + from_fast
 
-let return_to_system t ~pages = with_serving t (fun () -> return_to_system_unlocked t ~pages)
+let return_to_system t ~pages =
+  Sim_sync.Semaphore.with_permit t.serving (fun () -> return_to_system_unlocked t ~pages)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -438,8 +336,8 @@ let create kern ?(name = "tiered-manager") ?(fast_tier = 0) ?(slow_tier = 1) ?co
       slow_pool =
         Mgr_free_pages.create kern ~name:(name ^ ".slow-pool") ~capacity:slow_pool_capacity;
       compressed;
-      fast_clock = fresh_clock ();
-      slow_clock = fresh_clock ();
+      fast_clock = Mgr_clock.create ~tier:fast_tier kern;
+      slow_clock = Mgr_clock.create ~tier:slow_tier kern;
       refill_batch;
       reclaim_batch;
       segs = Hashtbl.create 16;
@@ -486,8 +384,8 @@ let adopt t ?(superpages = false) seg =
       match slot.Seg.frame with
       | None -> ()
       | Some f ->
-          if Phys.tier_of_frame mem f = t.slow_tier then track t.slow_clock seg i
-          else track t.fast_clock seg i)
+          if Phys.tier_of_frame mem f = t.slow_tier then Mgr_clock.track t.slow_clock seg i
+          else Mgr_clock.track t.fast_clock seg i)
     s.Seg.pages
 
 let managed t = Hashtbl.fold (fun k _ acc -> k :: acc) t.segs [] |> List.sort compare

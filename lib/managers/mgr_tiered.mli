@@ -9,7 +9,7 @@
     - {b fast tier} — pages fault in here ([MigratePages] with a tier
       constraint from a tier-pure free-page pool).
     - {b slow tier} — when the fast tier runs dry, a second-chance clock
-      (the same tombstoned-ring discipline as {!Mgr_generic}) demotes
+      (a {!Mgr_clock} ring scoped to the fast tier) demotes
       cold pages onto slow-tier frames, contents intact, and protects
       them with [no_access]. The next touch raises a protection fault and
       the page is promoted back to a fast frame — that fault {e is} the

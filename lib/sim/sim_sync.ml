@@ -23,6 +23,10 @@ module Semaphore = struct
     match Queue.take_opt t.waiters with
     | Some resume -> resume ()
     | None -> t.count <- t.count + 1
+
+  let with_permit t f =
+    acquire t;
+    Fun.protect ~finally:(fun () -> release t) f
 end
 
 module Resource = struct

@@ -13,6 +13,10 @@ module Semaphore : sig
   val acquire : t -> unit
   val try_acquire : t -> bool
   val release : t -> unit
+
+  val with_permit : t -> (unit -> 'a) -> 'a
+  (** [acquire], run the thunk, then [release] — also when the thunk
+      raises. *)
 end
 
 (** A pool of identical servers (CPUs, disk arms) with utilisation

@@ -226,16 +226,12 @@ let force_bankrupt_returns t =
     t.clients;
   !recovered
 
-let serialised t f =
-  Sim_sync.Semaphore.acquire t.serving;
-  Fun.protect ~finally:(fun () -> Sim_sync.Semaphore.release t.serving) f
-
 let set_market_demand t d = Spcm_market.set_demand t.market d ~now_us:(now_us t)
 
 (* Serve queued waiters in admission order while the pool can cover the
    head's full remainder (all-or-nothing, so a blocked waiter never parks
    on a partial grant). A constrained head whose slot scan comes short
-   keeps its place and stops the pump. Runs inside [serialised]. *)
+   keeps its place and stops the pump. Runs holding [serving]. *)
 let rec pump t =
   match Spcm_admit.peek t.admit with
   | None -> ()
@@ -279,7 +275,7 @@ let note_free_frames t =
 
 let request t ~client:cid ~dst ~dst_page ~count ?(constraint_ = Unconstrained) () =
   if count <= 0 then invalid_arg "Spcm.request: count must be positive";
-  serialised t @@ fun () ->
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
   let cl = client t cid in
   cl.cl_requests <- cl.cl_requests + 1;
   charge_rpc t;
@@ -339,7 +335,7 @@ let enqueue t cl ~dst ~dst_page ~remaining ~constraint_ ~granted =
 let acquire t ~client:cid ~dst ~dst_page ~count ?(constraint_ = Unconstrained) () =
   if count <= 0 then invalid_arg "Spcm.acquire: count must be positive";
   let outcome =
-    serialised t @@ fun () ->
+    Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
     let cl = client t cid in
     cl.cl_requests <- cl.cl_requests + 1;
     charge_rpc t;
@@ -370,7 +366,7 @@ let acquire t ~client:cid ~dst ~dst_page ~count ?(constraint_ = Unconstrained) (
       w.w_granted
 
 let refuse_pending t =
-  serialised t @@ fun () ->
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
   let n = ref 0 in
   let rec drain () =
     match Spcm_admit.pop t.admit with
@@ -388,7 +384,7 @@ let refuse_pending t =
   !n
 
 let sweep t =
-  serialised t @@ fun () ->
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
   let recovered = ref (force_bankrupt_returns t) in
   (match Spcm_admit.peek t.admit with
   | Some (_, _, _, w) when free_frames t < w.w_remaining ->
@@ -401,7 +397,7 @@ let sweep t =
   !recovered
 
 let return_pages t ~client:cid ~seg ~page ~count =
-  serialised t @@ fun () ->
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
   let cl = client t cid in
   let before = free_frames t in
   K.release_frames t.kern ~seg ~page ~count;
@@ -414,7 +410,7 @@ let return_pages t ~client:cid ~seg ~page ~count =
   note_free_frames t
 
 let note_returned t ~client:cid ~count =
-  serialised t @@ fun () ->
+  Sim_sync.Semaphore.with_permit t.serving @@ fun () ->
   let cl = client t cid in
   let returned = min count cl.cl_holding in
   cl.cl_holding <- cl.cl_holding - returned;

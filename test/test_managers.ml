@@ -72,9 +72,7 @@ let test_free_pages_grant_take () =
   let _, kernel, source = kernel_with_source () in
   let pool = Mgr_free_pages.create kernel ~name:"pool" ~capacity:8 in
   check_int "empty" 0 (Mgr_free_pages.available pool);
-  let slot = Option.get (Mgr_free_pages.grant_slot pool) in
-  let got = source ~dst:(Mgr_free_pages.segment pool) ~dst_page:slot ~count:5 in
-  Mgr_free_pages.note_granted pool got;
+  ignore (Mgr_free_pages.refill pool ~source ~count:5);
   check_int "granted" 5 (Mgr_free_pages.available pool);
   let dst = K.create_segment kernel ~name:"dst" ~pages:8 () in
   let moved = Mgr_free_pages.take_to pool ~dst ~dst_page:2 ~count:3 () in
@@ -85,9 +83,7 @@ let test_free_pages_grant_take () =
 let test_free_pages_take_more_than_available () =
   let _, kernel, source = kernel_with_source () in
   let pool = Mgr_free_pages.create kernel ~name:"pool" ~capacity:8 in
-  let slot = Option.get (Mgr_free_pages.grant_slot pool) in
-  Mgr_free_pages.note_granted pool
-    (source ~dst:(Mgr_free_pages.segment pool) ~dst_page:slot ~count:2);
+  ignore (Mgr_free_pages.refill pool ~source ~count:2);
   let dst = K.create_segment kernel ~name:"dst" ~pages:8 () in
   check_int "clamped to available" 2 (Mgr_free_pages.take_to pool ~dst ~dst_page:0 ~count:5 ());
   check_int "now empty" 0 (Mgr_free_pages.take_to pool ~dst ~dst_page:5 ~count:1 ())
@@ -95,9 +91,7 @@ let test_free_pages_take_more_than_available () =
 let test_free_pages_put_and_data () =
   let _, kernel, source = kernel_with_source () in
   let pool = Mgr_free_pages.create kernel ~name:"pool" ~capacity:8 in
-  let slot = Option.get (Mgr_free_pages.grant_slot pool) in
-  Mgr_free_pages.note_granted pool
-    (source ~dst:(Mgr_free_pages.segment pool) ~dst_page:slot ~count:1);
+  ignore (Mgr_free_pages.refill pool ~source ~count:1);
   Mgr_free_pages.set_next_data pool (Hw_page_data.of_string "fill-me");
   let dst = K.create_segment kernel ~name:"dst" ~pages:2 () in
   ignore (Mgr_free_pages.take_to pool ~dst ~dst_page:0 ~count:1 ());
@@ -110,9 +104,7 @@ let test_free_pages_put_and_data () =
 let test_free_pages_release_to_initial () =
   let _, kernel, source = kernel_with_source ~frames:32 () in
   let pool = Mgr_free_pages.create kernel ~name:"pool" ~capacity:8 in
-  let slot = Option.get (Mgr_free_pages.grant_slot pool) in
-  Mgr_free_pages.note_granted pool
-    (source ~dst:(Mgr_free_pages.segment pool) ~dst_page:slot ~count:4);
+  ignore (Mgr_free_pages.refill pool ~source ~count:4);
   let released = Mgr_free_pages.release_to_initial pool ~count:10 in
   check_int "released what it had" 4 released;
   check_int "initial whole again" 32
@@ -781,11 +773,8 @@ let test_failing_handler_leaves_kernel_consistent () =
       ~on_fault:(fun f ->
         if !blow_up then failwith "manager crashed"
         else begin
-          if Mgr_free_pages.available pool = 0 then begin
-            let slot = Option.get (Mgr_free_pages.grant_slot pool) in
-            Mgr_free_pages.note_granted pool
-              (source ~dst:(Mgr_free_pages.segment pool) ~dst_page:slot ~count:4)
-          end;
+          if Mgr_free_pages.available pool = 0 then
+            ignore (Mgr_free_pages.refill pool ~source ~count:4);
           ignore
             (Mgr_free_pages.take_to pool ~dst:f.Mgr.f_seg ~dst_page:f.Mgr.f_page ~count:1 ())
         end)
@@ -919,6 +908,281 @@ let test_dsm_frame_conservation () =
   let total = K.frame_owner_total kernel in
   check_int "every frame owned once" 256 total
 
+(* ------------------------------------------------------------------ *)
+(* Clock ring vs a plain-list model                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Random track / purge / frame-loss / referenced / pinned / sweep steps
+   drive Mgr_clock over a real kernel and, in lockstep, a model that
+   keeps only live entries in a plain list and filters eagerly — no
+   tombstones, no compaction. Both must pick the same victims in the
+   same order and clear the same referenced bits, and the tombstoned
+   ring must stay within twice its live entries (+1). *)
+type clock_step =
+  | Track of int * int
+  | Purge of int
+  | Lose of int * int
+  | Reference of int * int
+  | Pin of int * int
+  | Sweep of int * [ `Reclaimed | `Kept | `Stop ]
+
+let clock_segs = 3
+let clock_pages = 6
+
+let show_clock_step = function
+  | Track (s, p) -> Printf.sprintf "track %d/%d" s p
+  | Purge s -> Printf.sprintf "purge %d" s
+  | Lose (s, p) -> Printf.sprintf "lose %d/%d" s p
+  | Reference (s, p) -> Printf.sprintf "ref %d/%d" s p
+  | Pin (s, p) -> Printf.sprintf "pin %d/%d" s p
+  | Sweep (n, v) ->
+      Printf.sprintf "sweep %d %s" n
+        (match v with `Reclaimed -> "reclaim" | `Kept -> "keep" | `Stop -> "stop")
+
+let clock_step_gen =
+  let open QCheck.Gen in
+  let sp = pair (int_bound (clock_segs - 1)) (int_bound (clock_pages - 1)) in
+  frequency
+    [
+      (8, map (fun (s, p) -> Track (s, p)) sp);
+      (1, map (fun s -> Purge s) (int_bound (clock_segs - 1)));
+      (4, map (fun (s, p) -> Lose (s, p)) sp);
+      (3, map (fun (s, p) -> Reference (s, p)) sp);
+      (1, map (fun (s, p) -> Pin (s, p)) sp);
+      ( 3,
+        map2
+          (fun n v -> Sweep (n, v))
+          (int_range 1 8)
+          (frequency [ (4, return `Reclaimed); (1, return `Kept); (1, return `Stop) ]) );
+    ]
+
+type model_page = { mutable m_frame : bool; mutable m_ref : bool; mutable m_pin : bool }
+
+let clock_matches_model steps =
+  let kernel = K.create (machine_of ~frames:64 ()) in
+  let segs =
+    Array.init clock_segs (fun i ->
+        K.create_segment kernel ~name:(Printf.sprintf "c%d" i) ~pages:clock_pages ())
+  in
+  let clock = Mgr_clock.create kernel in
+  let pages =
+    Array.init clock_segs (fun _ ->
+        Array.init clock_pages (fun _ -> { m_frame = false; m_ref = false; m_pin = false }))
+  in
+  let m seg page = pages.(seg).(page) in
+  (* Model ring: (id, seg index, page), newest first, live entries only. *)
+  let ring = ref [] and hand = ref [] and next_id = ref 0 in
+  let flags si p = (Seg.page (K.segment kernel segs.(si)) p).Seg.flags in
+  let set si p ?set_flags ?clear_flags () =
+    K.modify_page_flags kernel ~seg:segs.(si) ~page:p ~count:1 ?set_flags ?clear_flags ()
+  in
+  let model_sweep count verdict =
+    let victims = ref [] and reclaimed = ref 0 and passes = ref 0 and stop = ref false in
+    while (not !stop) && !reclaimed < count && (!passes < 2 || !hand <> []) do
+      if !hand = [] then begin
+        hand := !ring;
+        incr passes;
+        if !hand = [] then stop := true
+      end;
+      match !hand with
+      | [] -> stop := true
+      | (id, si, p) :: rest ->
+          hand := rest;
+          let mp = m si p in
+          if not mp.m_frame then ring := List.filter (fun (i, _, _) -> i <> id) !ring
+          else if mp.m_pin then ()
+          else if mp.m_ref then mp.m_ref <- false
+          else begin
+            victims := (si, p) :: !victims;
+            match verdict with
+            | `Reclaimed ->
+                mp.m_frame <- false;
+                incr reclaimed
+            | `Kept -> ()
+            | `Stop -> stop := true
+          end
+    done;
+    List.rev !victims
+  in
+  let seg_index seg =
+    let rec go i = if segs.(i) = seg then i else go (i + 1) in
+    go 0
+  in
+  let step = function
+    | Track (si, p) ->
+        let mp = m si p in
+        if not mp.m_frame then begin
+          let src = List.hd (K.initial_slots kernel ~limit:1) in
+          K.migrate_pages kernel ~src:(K.initial_segment kernel) ~dst:segs.(si) ~src_page:src
+            ~dst_page:p ~count:1
+            ~clear_flags:(Flags.of_list [ Flags.referenced; Flags.pinned ])
+            ();
+          mp.m_frame <- true;
+          mp.m_ref <- false;
+          mp.m_pin <- false
+        end;
+        Mgr_clock.track clock segs.(si) p;
+        ring := (!next_id, si, p) :: !ring;
+        incr next_id;
+        true
+    | Purge si ->
+        Mgr_clock.purge_segment clock segs.(si);
+        ring := List.filter (fun (_, s, _) -> s <> si) !ring;
+        hand := List.filter (fun (_, s, _) -> s <> si) !hand;
+        true
+    | Lose (si, p) ->
+        let mp = m si p in
+        if mp.m_frame then begin
+          K.release_frames kernel ~seg:segs.(si) ~page:p ~count:1;
+          mp.m_frame <- false;
+          mp.m_ref <- false;
+          mp.m_pin <- false
+        end;
+        true
+    | Reference (si, p) ->
+        let mp = m si p in
+        if mp.m_frame then begin
+          set si p ~set_flags:Flags.referenced ();
+          mp.m_ref <- true
+        end;
+        true
+    | Pin (si, p) ->
+        let mp = m si p in
+        if mp.m_frame then begin
+          if mp.m_pin then set si p ~clear_flags:Flags.pinned ()
+          else set si p ~set_flags:Flags.pinned ();
+          mp.m_pin <- not mp.m_pin
+        end;
+        true
+    | Sweep (count, verdict) ->
+        let victims = ref [] in
+        let reclaimed =
+          Mgr_clock.sweep clock ~count (fun ~seg ~page _slot _frame ->
+              let si = seg_index seg in
+              victims := (si, page) :: !victims;
+              if verdict = `Reclaimed then K.release_frames kernel ~seg ~page ~count:1;
+              verdict)
+        in
+        let expected = model_sweep count verdict in
+        List.rev !victims = expected
+        && reclaimed = (if verdict = `Reclaimed then List.length expected else 0)
+  in
+  let agrees () =
+    Mgr_clock.live clock = List.length !ring
+    && Mgr_clock.length clock <= (2 * Mgr_clock.live clock) + 1
+    && Array.for_all Fun.id
+         (Array.init clock_segs (fun si ->
+              Array.for_all Fun.id
+                (Array.init clock_pages (fun p ->
+                     let mp = m si p in
+                     let resident = (Seg.page (K.segment kernel segs.(si)) p).Seg.frame <> None in
+                     resident = mp.m_frame
+                     && ((not mp.m_frame) || Flags.mem (flags si p) Flags.referenced = mp.m_ref)))))
+  in
+  List.for_all (fun st -> step st && agrees ()) steps
+
+let prop_clock_matches_model =
+  QCheck.Test.make ~name:"clock = plain-list model (victims, referenced bits, ring bound)"
+    ~count:300
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_clock_step l))
+       QCheck.Gen.(list_size (int_range 1 120) clock_step_gen))
+    clock_matches_model
+
+(* ------------------------------------------------------------------ *)
+(* A manager's serving lock against the SPCM pressure callback        *)
+(* ------------------------------------------------------------------ *)
+
+(* Process A faults and blocks in a disk fill while holding the
+   manager's serving lock; process B asks the SPCM to reclaim from the
+   manager meanwhile. The pressure callback must decline (0 frames) and
+   must not block — a blocking wait here is the deadlock against a fault
+   handler that is itself waiting on the SPCM. Once A is done, the same
+   call gets frames. Frame conservation holds throughout. *)
+let serving_vs_pressure ~engine ~kernel ~spcm ~setup =
+  let audit_ok () = K.frame_owner_audit kernel = K.frame_owner_audit_scan kernel in
+  let during = ref (-1) and after = ref (-1) and b_finished = ref false in
+  let a_finished = ref false and a_done_when_b_asked = ref true in
+  let audits = ref [] in
+  let a_done = Sim_sync.Gate.create () in
+  Engine.spawn engine (fun () ->
+      let fault = setup () in
+      audits := audit_ok () :: !audits;
+      Engine.fork ~name:"A" (fun () ->
+          fault ();
+          audits := audit_ok () :: !audits;
+          a_finished := true;
+          Sim_sync.Gate.open_ a_done);
+      (* Well inside A's disk read (a disk access costs milliseconds). *)
+      Engine.delay 2000.0;
+      a_done_when_b_asked := !a_finished;
+      during := Spcm.reclaim_from_clients spcm ~need:2 ~exempt:None;
+      audits := audit_ok () :: !audits;
+      Sim_sync.Gate.wait a_done;
+      after := Spcm.reclaim_from_clients spcm ~need:2 ~exempt:None;
+      audits := audit_ok () :: !audits;
+      b_finished := true);
+  Engine.run engine;
+  check_bool "A still in its fill when B asked" false !a_done_when_b_asked;
+  check_bool "A finished" true !a_finished;
+  check_bool "B finished (no deadlock)" true !b_finished;
+  check_int "declined while mid-fault" 0 !during;
+  check_int "frames once the fault is done" 2 !after;
+  check_bool "audit = scan throughout" true (List.for_all Fun.id (audit_ok () :: !audits))
+
+let test_generic_serving_vs_pressure () =
+  let machine = machine_of ~frames:128 () in
+  let kernel = K.create machine in
+  let spcm = Spcm.create kernel () in
+  let client = Spcm.register_client ~income:1000.0 spcm ~name:"app" () in
+  let backing = Mgr_backing.disk machine.Hw_machine.disk ~page_bytes:4096 in
+  let g =
+    G.create kernel ~name:"app" ~mode:`In_process ~backing ~source:(Spcm.source_for spcm client)
+      ~pool_capacity:64 ()
+  in
+  Spcm.set_client_manager spcm client (G.manager_id g);
+  let seg =
+    G.create_segment g ~name:"file" ~pages:8 ~kind:(G.File { file_id = 1 }) ~high_water:8 ()
+  in
+  serving_vs_pressure ~engine:machine.Hw_machine.engine ~kernel ~spcm ~setup:(fun () () ->
+      K.touch kernel ~space:seg ~page:0 ~access:Mgr.Read)
+
+let test_tiered_serving_vs_pressure () =
+  let machine =
+    Hw_machine.create ~page_size:4096
+      ~tiers:
+        [
+          Hw_phys_mem.dram_tier ~bytes:(16 * 4096); Hw_phys_mem.slow_dram_tier ~bytes:(16 * 4096);
+        ]
+      ()
+  in
+  let kernel = K.create machine in
+  let spcm = Spcm.create kernel () in
+  (* A zero budget spills every stashed page to disk, so refetching one
+     is a disk fill. *)
+  let t =
+    Mgr_tiered.create kernel
+      ~compressed_config:{ Mgr_compressed.default_config with budget_pages = 0.0 }
+      ()
+  in
+  let client =
+    Spcm.register_client ~income:1000.0 ~manager:(Mgr_tiered.manager_id t) spcm ~name:"tiered" ()
+  in
+  serving_vs_pressure ~engine:machine.Hw_machine.engine ~kernel ~spcm ~setup:(fun () ->
+      (* The client's holdings: SPCM-granted fast frames handed to the
+         manager by adoption. *)
+      let held = K.create_segment kernel ~name:"held" ~pages:4 () in
+      (match
+         Spcm.request spcm ~client ~dst:held ~dst_page:0 ~count:4 ~constraint_:(Spcm.Tier 0) ()
+       with
+      | Spcm.Granted 4 -> ()
+      | _ -> Alcotest.fail "setup grant");
+      Mgr_tiered.adopt t held;
+      let seg = Mgr_tiered.create_segment t ~name:"data" ~pages:4 () in
+      Mgr_compressed.stash (Mgr_tiered.compressed t) ~seg ~page:0 (Hw_page_data.of_string "cold");
+      check_int "stash spilled to disk" 1 (Mgr_compressed.spills (Mgr_tiered.compressed t));
+      fun () -> K.touch kernel ~space:seg ~page:0 ~access:Mgr.Read)
+
 let () =
   Alcotest.run "managers"
     [
@@ -934,6 +1198,12 @@ let () =
           Alcotest.test_case "take clamps" `Quick test_free_pages_take_more_than_available;
           Alcotest.test_case "put and data" `Quick test_free_pages_put_and_data;
           Alcotest.test_case "release to initial" `Quick test_free_pages_release_to_initial;
+        ] );
+      ("clock", List.map QCheck_alcotest.to_alcotest [ prop_clock_matches_model ]);
+      ( "serving vs pressure",
+        [
+          Alcotest.test_case "generic: declines mid-fault" `Quick test_generic_serving_vs_pressure;
+          Alcotest.test_case "tiered: declines mid-fault" `Quick test_tiered_serving_vs_pressure;
         ] );
       ( "generic",
         [

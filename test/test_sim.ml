@@ -419,6 +419,27 @@ let test_semaphore_try_acquire () =
   Engine.run e;
   Alcotest.(check (list bool)) "try pattern" [ true; false; true ] (List.rev !results)
 
+let test_semaphore_with_permit_releases_on_raise () =
+  (* A raising thunk must still hand the permit on: the waiter behind it
+     gets in as soon as the holder unwinds. *)
+  let e = Engine.create () in
+  let sem = Sync.Semaphore.create 1 in
+  let raised = ref false and entered_at = ref (-1.0) in
+  Engine.spawn e (fun () ->
+      match
+        Sync.Semaphore.with_permit sem (fun () ->
+            Engine.delay 10.0;
+            raise Exit)
+      with
+      | () -> ()
+      | exception Exit -> raised := true);
+  Engine.spawn e (fun () ->
+      Sync.Semaphore.with_permit sem (fun () -> entered_at := Engine.time ()));
+  Engine.run e;
+  check_bool "exception reached the caller" true !raised;
+  check_float "waiter entered when the holder raised" 10.0 !entered_at;
+  check_int "permit returned" 1 (Sync.Semaphore.available sem)
+
 let test_resource_capacity_and_utilisation () =
   let e = Engine.create () in
   let r = Sync.Resource.create e ~capacity:2 in
@@ -741,6 +762,8 @@ let () =
           Alcotest.test_case "mailbox buffered" `Quick test_mailbox_buffered_before_recv;
           Alcotest.test_case "gate broadcast" `Quick test_gate_broadcast;
           Alcotest.test_case "condition repeated" `Quick test_condition_repeated_signal;
+          Alcotest.test_case "with_permit releases on raise" `Quick
+            test_semaphore_with_permit_releases_on_raise;
         ] );
       ( "trace",
         [
